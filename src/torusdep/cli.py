@@ -62,19 +62,26 @@ def _cmd_analyze(args) -> int:
     config = AnalysisConfig(
         torsion_order_bound=args.torsion_order,
         scan_height_bound=args.scan_height,
-        oracle_exponent_bound=args.oracle_bound,
-        output_format=args.format,
     )
     report = analyze(args.curve, config)
     sys.stdout.write(report.to_json() + "\n" if args.format == "json" else report.to_text())
     return EXIT_OK
 
 
-def _cmd_phi(args) -> int:
-    curve = parse_curve(args.curve)
+def _proper_curve(text: str):
+    """Parse a curve; reject it if improper or against the hypothesis."""
+    curve = parse_curve(text)
     degree = map_degree(curve)
     if degree != 1:
         raise ImproperParametrization(degree)
+    violation = check_assumption(curve)
+    if violation is not None:
+        raise AssumptionViolation(violation)
+    return curve
+
+
+def _cmd_phi(args) -> int:
+    curve = _proper_curve(args.curve)
     chars = phi_enumerate(curve)
     payload = [
         {
@@ -150,7 +157,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_fiber(args) -> int:
-    curve = parse_curve(args.curve)
+    curve = _proper_curve(args.curve)
     char = _parse_char(args.char)
     points = torsion_fiber(curve, char, args.order)
     payload = {
@@ -176,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--curve", required=True, help='coordinates, e.g. "(t-1)^3; t"')
     p.add_argument("--torsion-order", type=int, default=12, dest="torsion_order")
     p.add_argument("--scan-height", type=int, default=50, dest="scan_height")
-    p.add_argument("--oracle-bound", type=int, default=6, dest="oracle_bound")
     add_format(p)
     p.set_defaults(func=_cmd_analyze)
 

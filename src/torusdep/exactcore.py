@@ -174,15 +174,6 @@ class Poly:
             acc = acc * x + c
         return acc
 
-    def derivative(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def compose_poly(self, g: "Poly") -> "Poly":
-        acc = Poly()
-        for c in reversed(self.coeffs):
-            acc = acc * g + Poly([c])
-        return acc
-
     def __str__(self):
         return self.to_string("t")
 
@@ -454,8 +445,14 @@ def factor_poly(p: Poly):
         lc = q.leading
         unit *= lc ** mult
         factors.append((q.monic(), int(mult)))
-    factors.sort(key=lambda fm: (fm[0].degree, tuple(reversed(fm[0].coeffs))))
+    factors.sort(key=lambda fm: factor_key(fm[0]))
     return unit, factors
+
+
+def factor_key(p: Poly):
+    """The order factor_poly lists factors in: degree, then coefficients
+    from the top."""
+    return (p.degree, tuple(reversed(p.coeffs)))
 
 
 def expand_factors(unit: Fraction, factors) -> Poly:

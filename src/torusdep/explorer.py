@@ -23,7 +23,7 @@ from .errors import (
     DomainError,
     ImproperParametrization,
 )
-from .exactcore import Poly, RatFunc, factor_poly
+from .exactcore import Poly, RatFunc, cyclotomic_poly, factor_key, factor_poly
 from .multdep import (
     is_primitively_dependent,
     point_height,
@@ -37,14 +37,10 @@ from .parser import parse_coordinates
 class AnalysisConfig:
     torsion_order_bound: int = 12
     scan_height_bound: int = 50
-    oracle_exponent_bound: int = 6
-    output_format: str = "json"
 
     def __post_init__(self):
-        if min(self.torsion_order_bound, self.scan_height_bound, self.oracle_exponent_bound) < 1:
+        if min(self.torsion_order_bound, self.scan_height_bound) < 1:
             raise DomainError("all bounds must be at least 1")
-        if self.output_format not in ("json", "text"):
-            raise DomainError("output format must be 'json' or 'text'")
 
 
 @dataclass(frozen=True)
@@ -79,28 +75,46 @@ def parse_curve(text: str) -> CurveData:
     return CurveData.build(parse_coordinates(text))
 
 
+def _cyclotomic_factors(curve: CurveData, phi: RatFunc, d: int) -> List[Poly]:
+    """Factors of the numerator of Phi_d(phi), in factor_poly order, whose
+    roots leave every coordinate finite and nonzero. For phi = A/B in lowest
+    terms that numerator is sum_k c_k * A**k * B**(e - k), where
+    Phi_d = sum_k c_k * t**k has degree e."""
+    cs = cyclotomic_poly(d).coeffs
+    e = len(cs) - 1
+    g = sum((c * phi.num ** k * phi.den ** (e - k) for k, c in enumerate(cs) if c), Poly())
+    return [
+        q
+        for q, _mult in factor_poly(g)[1]
+        if not any(q.divides(f.num) or q.divides(f.den) for f in curve.coords)
+    ]
+
+
+def _order_fiber(by_divisor: Dict[int, List[Poly]], N: int) -> Tuple[Poly, ...]:
+    """The order-N fiber from the factors of every d | N. Roots of unity of
+    different orders give disjoint root sets, so nothing repeats."""
+    found = [q for d, qs in by_divisor.items() if N % d == 0 for q in qs]
+    return tuple(sorted(found, key=factor_key))
+
+
 def torsion_fiber(curve: CurveData, a: Sequence[int], N: int) -> List[FiberPoint]:
     """Fiber of the restricted character over roots of unity of order
     dividing N, as irreducible polynomials in the curve parameter.
 
-    Factors the numerator of phi**N - 1 over Q and keeps the factors whose
-    roots leave every coordinate finite and nonzero.
+    With phi = A/B the restricted character, the numerator of phi**N - 1 is
+    A**N - B**N, the product over d | N of the homogenized Phi_d(A, B). The
+    kept factors of each d are merged in factor_poly order; a and -a share
+    them, as 1/phi gives -(A**N - B**N).
     """
     if N < 1:
         raise DomainError("torsion order must be positive")
     norm = normalize_character(curve, a)  # validates the character
     phi = character_restrict(curve, norm.a)
-    g = phi ** N - RatFunc(Poly([1]))
-    if g.is_zero():
-        raise DomainError("character is torsion on the whole curve")
-    kept = []
-    for q, _mult in factor_poly(g.num)[1]:
-        bad = any(
-            q.divides(f.num) or q.divides(f.den) for f in curve.coords
-        )
-        if not bad:
-            kept.append(FiberPoint(minimal_polynomial=q, character=norm.a, order=N))
-    return kept
+    by_divisor = {d: _cyclotomic_factors(curve, phi, d) for d in range(1, N + 1) if N % d == 0}
+    return [
+        FiberPoint(minimal_polynomial=q, character=norm.a, order=N)
+        for q in _order_fiber(by_divisor, N)
+    ]
 
 
 def _scan_parameters(H: int):
@@ -275,11 +289,17 @@ def analyze(curve_text: str, config: AnalysisConfig = AnalysisConfig()) -> Repor
     if violation is not None:
         raise AssumptionViolation(violation)
     phi = tuple(phi_enumerate(curve))
+    # One table per +-a pair: a and -a have the same fibers.
+    bound = config.torsion_order_bound
+    tables: Dict[Character, Dict[int, List[Poly]]] = {}
     fibers = []
     for ch in phi:
-        for order in range(1, config.torsion_order_bound + 1):
-            points = torsion_fiber(curve, ch.a, order)
-            fibers.append((ch.a, order, tuple(fp.minimal_polynomial for fp in points)))
+        key = max(ch.a, tuple(-x for x in ch.a))
+        if key not in tables:
+            restricted = character_restrict(curve, ch.a)
+            tables[key] = {d: _cyclotomic_factors(curve, restricted, d) for d in range(1, bound + 1)}
+        for order in range(1, bound + 1):
+            fibers.append((ch.a, order, _order_fiber(tables[key], order)))
     scan = tuple(scan_dependent(curve, config, phi))
     return Report(
         curve_text=tuple(str(f) for f in coords),

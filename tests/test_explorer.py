@@ -224,3 +224,11 @@ class TestCli:
         assert self.run("check", "--curve", "t; 2*t") == 3
         payload = json.loads(capsys.readouterr().out)
         assert payload["assumption"]["violation"] == [1, -1]
+
+    def test_fiber_improper_exit_code(self, capsys):
+        assert self.run("fiber", "--curve", "t^2; t^4+1", "--char", "1,0",
+                        "--order", "2") == 4
+
+    def test_fiber_assumption_exit_code(self, capsys):
+        assert self.run("fiber", "--curve", "t; 2*t", "--char", "1,0",
+                        "--order", "2") == 3
