@@ -42,13 +42,11 @@ from .curvegeom import (
     map_degree,
     normalize_character,
     phi_enumerate,
-    phi_oracle,
 )
 from .multdep import (
     Decomposition,
     FactoredRational,
     decompose,
-    dependence_oracle,
     factor_rational,
     is_dependent,
     is_primitively_dependent,

@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 parse error, 3 assumption violation, 4 improper
-parametrization, 5 internal invariant violation.
+Exit codes: 0 success, 2 parse error or an argument outside an operation's
+domain, 3 assumption violation, 4 improper parametrization (also when the
+curve is against the hypothesis too), 5 internal invariant violation.
 """
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .curvegeom import check_assumption, map_degree, phi_enumerate
+from .curvegeom import phi_enumerate
 from .errors import (
     AssumptionViolation,
     DomainError,
@@ -68,52 +69,27 @@ def _cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _proper_curve(text: str):
-    """Parse a curve; reject it if improper or against the hypothesis."""
-    curve = parse_curve(text)
-    degree = map_degree(curve)
-    if degree != 1:
-        raise ImproperParametrization(degree)
-    violation = check_assumption(curve)
-    if violation is not None:
-        raise AssumptionViolation(violation)
-    return curve
-
-
 def _cmd_phi(args) -> int:
-    curve = _proper_curve(args.curve)
-    chars = phi_enumerate(curve)
-    payload = [
-        {
-            "a": list(ch.a),
-            "P": str(ch.P),
-            "Q": str(ch.Q),
-            "m": ch.m,
-            "c": str(ch.c),
-            "realizable_cyclotomic": ch.realizable_cyclotomic,
-        }
-        for ch in chars
-    ]
-    _emit(payload, args.format)
+    chars = phi_enumerate(parse_curve(args.curve))
+    _emit([ch.to_dict() for ch in chars], args.format)
     return EXIT_OK
 
 
 def _cmd_check(args) -> int:
     curve = parse_curve(args.curve)
-    degree = map_degree(curve)
-    violation = check_assumption(curve)
+    violation = curve.violation
     payload = {
-        "map_degree": degree,
+        "map_degree": curve.degree,
         "assumption": {
             "ok": violation is None,
             "violation": list(violation) if violation else None,
         },
     }
     _emit(payload, args.format)
+    if curve.degree != 1:
+        return EXIT_IMPROPER
     if violation is not None:
         return EXIT_ASSUMPTION
-    if degree != 1:
-        return EXIT_IMPROPER
     return EXIT_OK
 
 
@@ -157,7 +133,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_fiber(args) -> int:
-    curve = _proper_curve(args.curve)
+    curve = parse_curve(args.curve)
     char = _parse_char(args.char)
     points = torsion_fiber(curve, char, args.order)
     payload = {
@@ -229,15 +205,6 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (DomainError, PreconditionError) as exc:
-        # Surface stage-specific failures where identifiable.
-        msg = str(exc)
-        print(f"error: {msg}", file=sys.stderr)
-        if "standing hypothesis" in msg:
-            return EXIT_ASSUMPTION
-        if "improper" in msg:
-            return EXIT_IMPROPER
-        return EXIT_PARSE
     except AssumptionViolation as exc:
         print(f"assumption violation: {exc}", file=sys.stderr)
         return EXIT_ASSUMPTION
@@ -247,6 +214,9 @@ def main(argv=None) -> int:
     except InvariantViolation as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
+    except (DomainError, PreconditionError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -7,11 +7,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
 import sympy
 
-from .errors import DomainError, InvariantViolation, PreconditionError
+from .errors import (
+    AssumptionViolation,
+    DomainError,
+    ImproperParametrization,
+    InvariantViolation,
+)
 from .exactcore import (
     Mobius,
     Poly,
@@ -154,6 +160,25 @@ class CurveData:
     def n(self) -> int:
         return len(self.coords)
 
+    @cached_property
+    def degree(self) -> int:
+        """The map degree onto the image; 1 iff the parametrization is proper."""
+        return map_degree(self)
+
+    @cached_property
+    def violation(self) -> Optional[Character]:
+        """A constant-monomial witness, or None under the standing hypothesis."""
+        return check_assumption(self)
+
+    def require_proper(self) -> "CurveData":
+        """This curve, if proper and under the standing hypothesis; otherwise
+        ImproperParametrization, which takes precedence, or AssumptionViolation."""
+        if self.degree != 1:
+            raise ImproperParametrization(self.degree)
+        if self.violation is not None:
+            raise AssumptionViolation(self.violation)
+        return self
+
 
 @dataclass(frozen=True)
 class NormalizedCharacter:
@@ -167,6 +192,16 @@ class NormalizedCharacter:
     m: int
     c: Fraction
     realizable_cyclotomic: bool
+
+    def to_dict(self) -> Dict:
+        return {
+            "a": list(self.a),
+            "P": str(self.P),
+            "Q": str(self.Q),
+            "m": self.m,
+            "c": str(self.c),
+            "realizable_cyclotomic": self.realizable_cyclotomic,
+        }
 
 
 def map_degree(curve: CurveData) -> int:
@@ -280,15 +315,9 @@ def phi_enumerate(curve: CurveData) -> List[NormalizedCharacter]:
     of the coordinate-divisor supports; for each pair the kernel of the
     divisor matrix with those two rows deleted has rank at most 1 under
     the standing hypothesis, and a rank-1 kernel yields one +- pair.
+    Raises what CurveData.require_proper raises.
     """
-    violation = check_assumption(curve)
-    if violation is not None:
-        raise PreconditionError(
-            f"curve violates the standing hypothesis via {violation}"
-        )
-    deg = map_degree(curve)
-    if deg != 1:
-        raise PreconditionError(f"parametrization is improper (degree {deg})")
+    curve.require_proper()
     places = curve.place_index
     rational = [i for i, p in enumerate(places) if p.degree == 1]
     found: Dict[Character, None] = {}
@@ -322,36 +351,3 @@ def phi_enumerate(curve: CurveData) -> List[NormalizedCharacter]:
             found.setdefault(tuple(-x for x in a), None)
     return [normalize_character(curve, a) for a in sorted(found)]
 
-
-def phi_oracle(curve: CurveData, B: int) -> List[Character]:
-    """Exhaustive oracle: all primitive exponent vectors with sup-norm at
-    most B whose restricted character has a two-point rational divisor.
-
-    Factors the actual monomial product, independently of the divisor
-    matrix route used by phi_enumerate. Test use only.
-    """
-    if check_assumption(curve) is not None:
-        raise PreconditionError("curve violates the standing hypothesis")
-    if B < 1:
-        raise DomainError("oracle bound must be positive")
-    out: List[Character] = []
-    for a in _box_vectors(curve.n, B):
-        if content(a) != 1:
-            continue
-        div = divisor_of(character_restrict(curve, a))
-        items = div.items()
-        if len(items) == 2 and all(p.degree == 1 for p, _ in items):
-            out.append(a)
-    return sorted(out)
-
-
-def _box_vectors(n: int, B: int):
-    def rec(prefix):
-        if len(prefix) == n:
-            if any(prefix):
-                yield tuple(prefix)
-            return
-        for v in range(-B, B + 1):
-            yield from rec(prefix + [v])
-
-    yield from rec([])

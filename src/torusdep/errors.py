@@ -18,10 +18,11 @@ class ParseError(ValueError):
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
+        self.message = message
         self.position = position
 
 
-class AssumptionViolation(Exception):
+class AssumptionViolation(PreconditionError):
     """The curve admits a constant monomial in its coordinates."""
 
     def __init__(self, witness):
@@ -29,7 +30,7 @@ class AssumptionViolation(Exception):
         self.witness = tuple(witness)
 
 
-class ImproperParametrization(Exception):
+class ImproperParametrization(PreconditionError):
     """The parametrization is not birational onto its image."""
 
     def __init__(self, degree: int):

@@ -12,24 +12,14 @@ from .curvegeom import (
     Character,
     CurveData,
     NormalizedCharacter,
-    check_assumption,
     character_restrict,
-    map_degree,
     normalize_character,
     phi_enumerate,
 )
-from .errors import (
-    AssumptionViolation,
-    DomainError,
-    ImproperParametrization,
-)
+from .errors import DomainError
 from .exactcore import Poly, RatFunc, cyclotomic_poly, factor_key, factor_poly
-from .multdep import (
-    is_primitively_dependent,
-    point_height,
-    relation_lattice,
-    root_of_unity_order,
-)
+from .intlattice import primitive_witness
+from .multdep import point_height, relation_lattice, root_of_unity_order
 from .parser import parse_coordinates
 
 
@@ -104,8 +94,10 @@ def torsion_fiber(curve: CurveData, a: Sequence[int], N: int) -> List[FiberPoint
     With phi = A/B the restricted character, the numerator of phi**N - 1 is
     A**N - B**N, the product over d | N of the homogenized Phi_d(A, B). The
     kept factors of each d are merged in factor_poly order; a and -a share
-    them, as 1/phi gives -(A**N - B**N).
+    them, as 1/phi gives -(A**N - B**N). Raises what
+    CurveData.require_proper raises.
     """
+    curve.require_proper()
     if N < 1:
         raise DomainError("torsion order must be positive")
     norm = normalize_character(curve, a)  # validates the character
@@ -131,9 +123,9 @@ def scan_dependent(
 ) -> List[ScanRecord]:
     """Scan rational parameters with max(|p|, q) <= H for dependent points,
     classifying each as a torsion-fiber point of an enumerated character or
-    as exceptional. Deterministic: sorted by (height, parameter)."""
-    if check_assumption(curve) is not None:
-        raise AssumptionViolation(check_assumption(curve))
+    as exceptional. Deterministic: sorted by (height, parameter). Raises
+    what CurveData.require_proper raises."""
+    curve.require_proper()
     if characters is None:
         characters = phi_enumerate(curve)
     # Prefer the positively oriented member of each +- pair when classifying.
@@ -159,7 +151,7 @@ def scan_dependent(
         lattice = relation_lattice(point)
         if lattice.is_zero():
             continue
-        witness = is_primitively_dependent(point)
+        witness = primitive_witness(lattice)
         relation = witness if witness is not None else lattice.vectors[0]
         fiber_char = None
         for ch in ordered:
@@ -210,17 +202,7 @@ class Report:
                 "ok": self.assumption_ok,
                 "violation": list(self.violation) if self.violation else None,
             },
-            "phi": [
-                {
-                    "a": list(ch.a),
-                    "P": str(ch.P),
-                    "Q": str(ch.Q),
-                    "m": ch.m,
-                    "c": str(ch.c),
-                    "realizable_cyclotomic": ch.realizable_cyclotomic,
-                }
-                for ch in self.phi
-            ],
+            "phi": [ch.to_dict() for ch in self.phi],
             "fibers": [
                 {
                     "char": list(char),
@@ -280,14 +262,7 @@ def analyze(curve_text: str, config: AnalysisConfig = AnalysisConfig()) -> Repor
     """Full pipeline: parse, properness and hypothesis checks, character
     enumeration, torsion fibers for every character and order up to the
     bound, and the bounded-height dependence scan."""
-    coords = parse_coordinates(curve_text)
-    curve = CurveData.build(coords)
-    degree = map_degree(curve)
-    if degree != 1:
-        raise ImproperParametrization(degree)
-    violation = check_assumption(curve)
-    if violation is not None:
-        raise AssumptionViolation(violation)
+    curve = parse_curve(curve_text).require_proper()
     phi = tuple(phi_enumerate(curve))
     # One table per +-a pair: a and -a have the same fibers.
     bound = config.torsion_order_bound
@@ -302,8 +277,8 @@ def analyze(curve_text: str, config: AnalysisConfig = AnalysisConfig()) -> Repor
             fibers.append((ch.a, order, _order_fiber(tables[key], order)))
     scan = tuple(scan_dependent(curve, config, phi))
     return Report(
-        curve_text=tuple(str(f) for f in coords),
-        map_degree=degree,
+        curve_text=tuple(str(f) for f in curve.coords),
+        map_degree=curve.degree,
         assumption_ok=True,
         violation=None,
         phi=phi,

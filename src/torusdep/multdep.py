@@ -188,26 +188,3 @@ def root_of_unity_order(x: Fraction) -> Optional[int]:
         return 2
     return None
 
-
-def dependence_oracle(P: Sequence[Fraction], B: int) -> List[Vector]:
-    """Exhaustive scan for relations with sup-norm at most B. Test use only."""
-    pt = _check_point(P)
-    if B < 1:
-        raise DomainError("oracle bound must be positive")
-    hits: List[Vector] = []
-    n = len(pt)
-
-    def rec(prefix: List[int]):
-        if len(prefix) == n:
-            if any(prefix):
-                v = Fraction(1)
-                for x, e in zip(pt, prefix):
-                    v *= x ** e
-                if v == 1:
-                    hits.append(tuple(prefix))
-            return
-        for e in range(-B, B + 1):
-            rec(prefix + [e])
-
-    rec([])
-    return sorted(hits)

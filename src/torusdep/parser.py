@@ -10,13 +10,22 @@ Grammar (semicolon-separated coordinates):
 
 Exponents are (possibly negative) integer literals, optionally
 parenthesized. Whitespace is insignificant.
+
+Budgets bound the work: literals have at most MAX_LITERAL_DIGITS digits,
+and a power whose degree would exceed MAX_DEGREE or whose coefficients
+could exceed MAX_COEFF_BITS bits is refused before it is computed.
 """
 from __future__ import annotations
 
+import math
 from typing import List, Tuple
 
 from .errors import DomainError, ParseError
 from .exactcore import Poly, RatFunc
+
+MAX_LITERAL_DIGITS = 4300
+MAX_DEGREE = 256
+MAX_COEFF_BITS = 2048
 
 
 class _Tokenizer:
@@ -53,6 +62,8 @@ class _Tokenizer:
             self.pos += 1
         if self.pos == digits:
             raise ParseError("expected an integer", start)
+        if self.pos - digits > MAX_LITERAL_DIGITS:
+            raise ParseError(f"integer literal longer than {MAX_LITERAL_DIGITS} digits", start)
         return int(self.text[start : self.pos])
 
 
@@ -109,6 +120,10 @@ class _Parser:
                 e = self.tk.integer()
             if e < 0 and base.is_zero():
                 raise ParseError("zero raised to a negative power", pos)
+            if abs(e) * max(base.num.degree, base.den.degree) > MAX_DEGREE:
+                raise ParseError(f"power of degree above {MAX_DEGREE}", pos)
+            if abs(e) * max(_power_bits(base.num), _power_bits(base.den)) > MAX_COEFF_BITS:
+                raise ParseError(f"power with coefficients above {MAX_COEFF_BITS} bits", pos)
             return base ** e
         return base
 
@@ -127,6 +142,14 @@ class _Parser:
         raise ParseError(f"unexpected character {c!r}" if c else "unexpected end of input", self.tk.pos)
 
 
+def _power_bits(p: Poly) -> int:
+    """Bits per unit of exponent that bound the coefficients of p**e: with D
+    the common denominator, their numerators are at most |D*p|_1**e and
+    their denominators at most D**e."""
+    d = math.lcm(*(c.denominator for c in p.coeffs))
+    return max(d, sum(abs(c.numerator) * (d // c.denominator) for c in p.coeffs)).bit_length()
+
+
 def parse_expression(text: str) -> RatFunc:
     """Parse a single coordinate expression into a reduced rational function."""
     return _Parser(text).parse()
@@ -143,7 +166,7 @@ def parse_coordinates(text: str) -> Tuple[RatFunc, ...]:
         try:
             f = parse_expression(piece)
         except ParseError as exc:
-            raise ParseError(str(exc).rsplit(" (at position", 1)[0], offset + exc.position) from None
+            raise ParseError(exc.message, offset + exc.position) from None
         if f.is_zero():
             raise DomainError("coordinate functions must be nonzero")
         coords.append(f)

@@ -8,19 +8,18 @@ import math
 import random
 from fractions import Fraction as F
 
+from oracles import dependence_oracle, phi_oracle
 from torusdep.curvegeom import (
     CurveData,
     check_assumption,
     cyclotomic_realizable,
     map_degree,
     phi_enumerate,
-    phi_oracle,
 )
 from torusdep.exactcore import Poly, RatFunc, nth_power_in_Q
 from torusdep.explorer import AnalysisConfig, analyze, parse_curve, scan_dependent, torsion_fiber
 from torusdep.intlattice import express_in_basis, min_content
 from torusdep.multdep import (
-    dependence_oracle,
     decompose,
     is_dependent,
     is_primitively_dependent,

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from oracles import phi_oracle
 from torusdep.curvegeom import (
     CurveData,
     Place,
@@ -13,7 +14,6 @@ from torusdep.curvegeom import (
     map_degree,
     normalize_character,
     phi_enumerate,
-    phi_oracle,
 )
 from torusdep.errors import DomainError, PreconditionError
 from torusdep.exactcore import (

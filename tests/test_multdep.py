@@ -4,11 +4,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from oracles import dependence_oracle
 from torusdep.errors import DomainError
 from torusdep.intlattice import express_in_basis
 from torusdep.multdep import (
     decompose,
-    dependence_oracle,
     factor_rational,
     is_dependent,
     is_primitively_dependent,
