@@ -4,9 +4,12 @@ multiplicatively dependent parameter values, and machine-readable reports.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import sympy
 
 from .curvegeom import (
     Character,
@@ -16,9 +19,9 @@ from .curvegeom import (
     normalize_character,
     phi_enumerate,
 )
-from .errors import DomainError
+from .errors import DomainError, InvariantViolation
 from .exactcore import Poly, RatFunc, cyclotomic_poly, factor_key, factor_poly
-from .intlattice import primitive_witness
+from .intlattice import primitive_witness, rank
 from .multdep import point_height, relation_lattice, root_of_unity_order
 from .parser import parse_coordinates
 
@@ -109,11 +112,31 @@ def torsion_fiber(curve: CurveData, a: Sequence[int], N: int) -> List[FiberPoint
     ]
 
 
-def _scan_parameters(H: int):
-    for q in range(1, H + 1):
-        for p in range(-H, H + 1):
-            if Fraction(p, q).denominator == q:  # gcd(p, q) == 1 representative
-                yield Fraction(p, q)
+def _place_forms(curve: CurveData) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[Fraction, ...]]:
+    """Integer binary forms of the places and the coordinate constants.
+
+    For a finite place P with L_P the lcm of its coefficients' denominators,
+    F_P(p, q) = L_P * q**deg(P) * P(p/q); at infinity F(p, q) = q. Each form
+    is returned as its integer coefficients, constant term first (infinity
+    is the constant 1 homogenized to degree 1). With
+    c_i = lc(num_i)/lc(den_i) * prod_P L_P**(-D[P, i]), exactly
+    x_i(p/q) = c_i * prod_P F_P(p, q)**D[P, i] over every row of the divisor
+    matrix D, the infinity row included.
+    """
+    forms = []
+    scales = []
+    for place in curve.place_index:
+        coeffs = (Fraction(1), Fraction(0)) if place.is_infinity else place.poly.coeffs
+        lcm = math.lcm(*(c.denominator for c in coeffs))
+        forms.append(tuple(int(c * lcm) for c in coeffs))
+        scales.append(lcm)
+    consts = []
+    for i, f in enumerate(curve.coords):
+        c = f.num.leading / f.den.leading
+        for lcm, row in zip(scales, curve.divisor_matrix.entries):
+            c /= Fraction(lcm) ** row[i]
+        consts.append(c)
+    return tuple(forms), tuple(consts)
 
 
 def scan_dependent(
@@ -121,10 +144,23 @@ def scan_dependent(
     config: AnalysisConfig,
     characters: Optional[Sequence[NormalizedCharacter]] = None,
 ) -> List[ScanRecord]:
-    """Scan rational parameters with max(|p|, q) <= H for dependent points,
-    classifying each as a torsion-fiber point of an enumerated character or
-    as exceptional. Deterministic: sorted by (height, parameter). Raises
-    what CurveData.require_proper raises."""
+    """Scan rational parameters t0 = p/q with max(|p|, q) <= H for dependent
+    points, classifying each as a torsion-fiber point of an enumerated
+    character or as exceptional. Deterministic: sorted by (height,
+    parameter). Raises what CurveData.require_proper raises.
+
+    Each parameter is tested from the divisor matrix D, never by evaluating
+    the coordinates: x_i(p/q) = c_i * prod_P F_P(p, q)**D[P, i] with the
+    integer place forms F_P of _place_forms. A parameter is skipped iff some
+    finite F_P(p, q) is 0, which is exactly when some coordinate has a pole
+    or a zero there: coordinates are reduced and place_index is the union of
+    their supports. Otherwise the prime-exponent vector of |x_i| is
+    e(c_i) + sum_P D[P, i] * e(F_P(p, q)), factoring each value once per
+    scan, and the point is dependent iff these n vectors have rank < n (a
+    relation among the |x_i| doubles to one among the x_i). Only dependent
+    parameters are evaluated and passed to relation_lattice; a zero lattice
+    there means the two routes disagree and raises InvariantViolation.
+    """
     curve.require_proper()
     if characters is None:
         characters = phi_enumerate(curve)
@@ -133,45 +169,76 @@ def scan_dependent(
         characters,
         key=lambda ch: (next((x for x in ch.a if x), 0) < 0, ch.a),
     )
+    n = curve.n
+    forms, consts = _place_forms(curve)
+    # per place (row of D): the coordinates with a nonzero multiplicity there
+    columns = [[(i, m) for i, m in enumerate(row) if m] for row in curve.divisor_matrix.entries]
+    factors: Dict[int, Dict[int, int]] = {}
+
+    def factored(v: int) -> Dict[int, int]:
+        f = factors.get(v)
+        if f is None:
+            f = factors[v] = {int(p): int(e) for p, e in sympy.factorint(v).items()}
+        return f
+
+    base = []
+    for c in consts:
+        e = dict(factored(abs(c.numerator)))
+        for p, k in factored(c.denominator).items():
+            e[p] = e.get(p, 0) - k
+        base.append(e)
+    H = config.scan_height_bound
     records = []
-    for t0 in _scan_parameters(config.scan_height_bound):
-        point = []
-        for f in curve.coords:
-            if f.den(t0) == 0:
-                point = None
-                break
-            v = f(t0)
-            if v == 0:
-                point = None
-                break
-            point.append(v)
-        if point is None:
-            continue
-        point = tuple(point)
-        lattice = relation_lattice(point)
-        if lattice.is_zero():
-            continue
-        witness = primitive_witness(lattice)
-        relation = witness if witness is not None else lattice.vectors[0]
-        fiber_char = None
-        for ch in ordered:
-            value = Fraction(1)
-            for x, e in zip(point, ch.a):
-                value *= x ** e
-            if root_of_unity_order(value) is not None:
-                fiber_char = ch.a
-                break
-        records.append(
-            ScanRecord(
-                parameter=t0,
-                point=point,
-                dependent=True,
-                primitive=witness is not None,
-                relation=relation,
-                height=point_height(point),
-                fiber_character=fiber_char,
+    for q in range(1, H + 1):
+        # coefficients from the top, the k-th times q**k: Horner in p alone
+        scaled = [[a * q ** k for k, a in enumerate(reversed(f))] for f in forms]
+        for p in range(-H, H + 1):
+            if math.gcd(p, q) != 1:
+                continue
+            values = []
+            for b in scaled:
+                acc = 0
+                for a in b:
+                    acc = acc * p + a
+                values.append(acc)
+            if 0 in values:  # only a finite place can vanish: F at infinity is q >= 1
+                continue
+            exps = [dict(e) for e in base]
+            for v, cols in zip(values, columns):
+                fv = factored(abs(v))
+                for i, m in cols:
+                    ei = exps[i]
+                    for prime, k in fv.items():
+                        ei[prime] = ei.get(prime, 0) + m * k
+            primes = {prime for e in exps for prime, k in e.items() if k}
+            if rank([[e.get(prime, 0) for prime in primes] for e in exps]) == n:
+                continue
+            t0 = Fraction(p, q)
+            point = tuple(f(t0) for f in curve.coords)
+            lattice = relation_lattice(point)
+            if lattice.is_zero():
+                raise InvariantViolation(f"rank test and relation lattice disagree at t = {t0}")
+            witness = primitive_witness(lattice)
+            relation = witness if witness is not None else lattice.vectors[0]
+            fiber_char = None
+            for ch in ordered:
+                value = Fraction(1)
+                for x, e in zip(point, ch.a):
+                    value *= x ** e
+                if root_of_unity_order(value) is not None:
+                    fiber_char = ch.a
+                    break
+            records.append(
+                ScanRecord(
+                    parameter=t0,
+                    point=point,
+                    dependent=True,
+                    primitive=witness is not None,
+                    relation=relation,
+                    height=point_height(point),
+                    fiber_character=fiber_char,
+                )
             )
-        )
     records.sort(key=lambda r: (r.height, r.parameter))
     return records
 

@@ -97,22 +97,26 @@ class IntMatrix:
         return det.numerator
 
 
-def _rational_rank(vectors: Sequence[Sequence[int]]) -> int:
-    m = [[Fraction(x) for x in row] for row in vectors]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+def rank(vectors: Sequence[Sequence[int]]) -> int:
+    """Rank over Q of a list of integer vectors, by fraction-free (Bareiss)
+    elimination: every division is exact, so all entries stay integers."""
+    m = [[int(x) for x in row] for row in vectors]
+    r = 0
+    prev = 1
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(r, len(m)) if m[i][col]), None)
         if pivot is None:
             continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][col]
-        for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
-                f = m[r][col] * inv
-                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
-        rank += 1
-    return rank
+        m[r], m[pivot] = m[pivot], m[r]
+        p = m[r][col]
+        for i in range(r + 1, len(m)):
+            a = m[i][col]
+            m[i] = [(p * x - a * y) // prev for x, y in zip(m[i], m[r])]
+        prev = p
+        r += 1
+        if r == len(m):
+            break
+    return r
 
 
 @dataclass(frozen=True)
@@ -127,7 +131,7 @@ class LatticeBasis:
         object.__setattr__(self, "vectors", vecs)
         if any(len(v) != self.ambient for v in vecs):
             raise DomainError("basis vector length differs from ambient dimension")
-        if vecs and _rational_rank(vecs) != len(vecs):
+        if vecs and rank(vecs) != len(vecs):
             raise DomainError("basis vectors are linearly dependent")
 
     @property

@@ -11,9 +11,11 @@ Grammar (semicolon-separated coordinates):
 Exponents are (possibly negative) integer literals, optionally
 parenthesized. Whitespace is insignificant.
 
-Budgets bound the work: literals have at most MAX_LITERAL_DIGITS digits,
-and a power whose degree would exceed MAX_DEGREE or whose coefficients
-could exceed MAX_COEFF_BITS bits is refused before it is computed.
+Budgets bound the work: literals have at most MAX_LITERAL_DIGITS digits;
+a power whose degree would exceed MAX_DEGREE or whose coefficients could
+exceed MAX_COEFF_BITS bits, and a sum, difference, product or quotient
+whose degree could exceed MAX_DEGREE, are refused before they are
+computed.
 """
 from __future__ import annotations
 
@@ -81,7 +83,9 @@ class _Parser:
         value = self.term()
         while self.tk.peek() and self.tk.peek() in "+-":
             op = self.tk.next_char()
+            pos = self.tk.pos
             rhs = self.term()
+            _check_degree(op, value, rhs, pos)
             value = value + rhs if op == "+" else value - rhs
         return value
 
@@ -91,12 +95,10 @@ class _Parser:
             op = self.tk.next_char()
             pos = self.tk.pos
             rhs = self.unary()
-            if op == "/":
-                if rhs.is_zero():
-                    raise ParseError("division by zero", pos)
-                value = value / rhs
-            else:
-                value = value * rhs
+            if op == "/" and rhs.is_zero():
+                raise ParseError("division by zero", pos)
+            _check_degree(op, value, rhs, pos)
+            value = value / rhs if op == "/" else value * rhs
         return value
 
     def unary(self) -> RatFunc:
@@ -140,6 +142,20 @@ class _Parser:
         if c.isdigit():
             return RatFunc(Poly.constant(self.tk.integer()))
         raise ParseError(f"unexpected character {c!r}" if c else "unexpected end of input", self.tk.pos)
+
+
+def _check_degree(op: str, a: RatFunc, b: RatFunc, pos: int):
+    """Refuse, before computing it, a sum, difference, product or quotient
+    whose numerator or denominator degree could exceed MAX_DEGREE."""
+    an, ad, bn, bd = a.num.degree, a.den.degree, b.num.degree, b.den.degree
+    if op == "*":
+        bound = max(an + bn, ad + bd)
+    elif op == "/":
+        bound = max(an + bd, ad + bn)
+    else:
+        bound = max(an + bd, bn + ad, ad + bd)
+    if bound > MAX_DEGREE:
+        raise ParseError(f"expression of degree above {MAX_DEGREE}", pos)
 
 
 def _power_bits(p: Poly) -> int:

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from torusdep import intlattice
 from torusdep.errors import DomainError
 from torusdep.intlattice import (
     IntMatrix,
@@ -190,3 +191,50 @@ def test_express_in_basis_roundtrip_random():
             sum(c * vec[i] for c, vec in zip(x, B.vectors)) for i in range(ambient)
         )
         assert recon == v
+
+
+def _fraction_rank(vectors):
+    """Reference rank: Gauss-Jordan elimination over Fractions."""
+    from fractions import Fraction
+
+    m = [[Fraction(x) for x in row] for row in vectors]
+    r = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        for i in range(len(m)):
+            if i != r and m[i][col]:
+                f = m[i][col] / m[r][col]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        r += 1
+    return r
+
+
+def test_rank_examples():
+    assert intlattice.rank([]) == 0
+    assert intlattice.rank([[], []]) == 0
+    assert intlattice.rank([[0, 0], [0, 0]]) == 0
+    assert intlattice.rank([[1, 2], [2, 4]]) == 1
+    assert intlattice.rank([[0, 3], [0, 0], [5, 0]]) == 2
+    assert intlattice.rank([[2, 1], [1, 2]]) == 2
+
+
+def test_rank_against_fraction_elimination():
+    rng = random.Random(2024)
+    for _ in range(3000):
+        rows = rng.randint(0, 6)
+        cols = rng.randint(0, 6)
+        m = [[rng.choice((0, 0, rng.randint(-9, 9), rng.randint(-10**6, 10**6))) for _ in range(cols)]
+             for _ in range(rows)]
+        if rows and cols and rng.random() < 0.3:
+            m[rng.randrange(rows)] = [0] * cols
+        if cols and rng.random() < 0.3:
+            j = rng.randrange(cols)
+            for row in m:
+                row[j] = 0
+        if rows >= 3 and rng.random() < 0.4:
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            m[rng.randrange(rows)] = [a * x + b * y for x, y in zip(m[0], m[1])]
+        assert intlattice.rank(m) == _fraction_rank(m), m

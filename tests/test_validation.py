@@ -15,7 +15,13 @@ from torusdep.errors import (
     PreconditionError,
 )
 from torusdep.explorer import AnalysisConfig, analyze, parse_curve, scan_dependent, torsion_fiber
-from torusdep.parser import MAX_COEFF_BITS, MAX_DEGREE, MAX_LITERAL_DIGITS, parse_expression
+from torusdep.parser import (
+    MAX_COEFF_BITS,
+    MAX_DEGREE,
+    MAX_LITERAL_DIGITS,
+    parse_coordinates,
+    parse_expression,
+)
 
 SMALL = AnalysisConfig(torsion_order_bound=2, scan_height_bound=5)
 
@@ -143,3 +149,21 @@ class TestParserBudgets:
         assert exc.value.position == len(f"((2^{MAX_COEFF_BITS // 2})^")
         with pytest.raises(ParseError):
             parse_expression("((t^16)^16)^16")
+
+
+def test_expression_degree_budget():
+    assert parse_expression(f"t^{MAX_DEGREE // 2}*t^{MAX_DEGREE // 2}").num.degree == MAX_DEGREE
+    assert parse_expression("(t+1)^200/(t+2)^200").den.degree == 200  # degree 200 as a function
+    for left, right in (  # refused just after the operator, once the right operand is read
+        ("(t+1)^256*", "(t+2)^256"),
+        ("(t+1)^200/", "(1/(t+2)^200)"),
+        ("(t+1)^200 +", " 1/(t+2)^200"),
+        ("t^200 -", " 1/t^100"),
+        ("1/(t+1)^200 +", " 1/(t+2)^100"),  # only the common denominator is too large
+    ):
+        with pytest.raises(ParseError) as exc:
+            parse_expression(left + right)
+        assert exc.value.position == len(left)
+    with pytest.raises(ParseError) as exc:
+        parse_coordinates("t; (t+1)^256*(t+2)^256*(t+3)^256")
+    assert exc.value.position == len("t; (t+1)^256*")
