@@ -133,8 +133,9 @@ class Poly:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:  # no square after the last bit: it would go unused
+                base = base * base
         return result
 
     def __divmod__(self, other):
@@ -313,8 +314,9 @@ class RatFunc:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:  # no square after the last bit: it would go unused
+                base = base * base
         return result
 
     def __call__(self, x: Fraction) -> Fraction:

@@ -9,8 +9,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import sympy
-
 from .curvegeom import (
     Character,
     CurveData,
@@ -22,7 +20,7 @@ from .curvegeom import (
 from .errors import DomainError, InvariantViolation
 from .exactcore import Poly, RatFunc, cyclotomic_poly, factor_key, factor_poly
 from .intlattice import primitive_witness, rank
-from .multdep import point_height, relation_lattice, root_of_unity_order
+from .multdep import factor_int, point_height, relation_lattice, root_of_unity_order
 from .parser import parse_coordinates
 
 
@@ -178,7 +176,7 @@ def scan_dependent(
     def factored(v: int) -> Dict[int, int]:
         f = factors.get(v)
         if f is None:
-            f = factors[v] = {int(p): int(e) for p, e in sympy.factorint(v).items()}
+            f = factors[v] = factor_int(v)
         return f
 
     base = []

@@ -4,13 +4,15 @@ coordinates, and Weil heights.
 
 Points have nonzero rational coordinates; the only torsion in Q* is the
 sign, which is handled as a parity functional on the relation kernel.
+Integers are factored by factor_int; sympy there only certifies primes and
+takes exact integer roots.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import sympy
 
@@ -22,6 +24,7 @@ from .intlattice import (
     hnf,
     kernel_basis,
     primitive_witness,
+    rank,
 )
 
 PointQ = Tuple[Fraction, ...]
@@ -43,16 +46,125 @@ class FactoredRational:
         return v
 
 
+_SMALL_BOUND = 1 << 12
+_SMALL_PRIMES = tuple(int(p) for p in sympy.primerange(2, _SMALL_BOUND))
+_SMALL_PRODUCT = math.prod(_SMALL_PRIMES)
+_RHO_BATCH = 128
+# Pollard rho steps one factor_int call may take, like the parser's budgets:
+# past it, factoring raises DomainError instead of running on.
+MAX_RHO_STEPS = 1 << 21
+
+
+def factor_int(n: int) -> Dict[int, int]:
+    """Prime factorization {p: e} of a positive integer, primes increasing.
+
+    One gcd with the product of the primes below 2^12 reveals the small
+    prime factors, which are then divided out. A cofactor below 2^24 has no
+    prime factor up to its square root, so it is prime; a larger one is
+    certified by sympy.isprime, or else taken apart as a perfect power or
+    split by Brent's Pollard rho. The rho steps of one call are capped at
+    MAX_RHO_STEPS; past that DomainError is raised.
+    """
+    if n < 1:
+        raise DomainError("only positive integers are factored")
+    out: Dict[int, int] = {}
+    g = math.gcd(n, _SMALL_PRODUCT)
+    for p in _SMALL_PRIMES:
+        if p * p > g:
+            break  # g is now 1 or a prime
+        if g % p == 0:
+            g //= p
+            n, out[p] = _strip(n, p)
+    if g > 1:
+        n, out[g] = _strip(n, g)
+    steps = 0
+    todo = [n] if n > 1 else []
+    while todo:
+        m = todo.pop()
+        if m < _SMALL_BOUND ** 2 or sympy.isprime(m):
+            out[m] = out.get(m, 0) + 1
+            continue
+        root, k = _perfect_power(m)
+        if k > 1:
+            todo += [root] * k
+            continue
+        d, steps = _brent_rho(m, steps)
+        todo += [d, m // d]
+    return dict(sorted(out.items()))
+
+
+def _strip(n: int, p: int) -> Tuple[int, int]:
+    """n with every factor p divided out, and the number of them."""
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return n, e
+
+
+def _perfect_power(m: int) -> Tuple[int, int]:
+    """(r, k) with r ** k == m for the least prime k that has one, else
+    (m, 1); m has no prime factor below 2^12, so k <= log(m) / log(2^12)."""
+    for k in sympy.primerange(2, m.bit_length() // 12 + 1):
+        r, exact = sympy.integer_nthroot(m, k)
+        if exact:
+            return int(r), k
+    return m, 1
+
+
+def _brent_rho(n: int, steps: int) -> Tuple[int, int]:
+    """A proper divisor of the odd composite n, and the rho step count so
+    far (carried over the splits of one factor_int call): Brent's cycle
+    search on y -> y^2 + c mod n with the gcds batched over _RHO_BATCH
+    steps. Retracing an overshot batch, at most _RHO_BATCH steps, is not
+    counted."""
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            steps = _spend(steps, r, n)
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                batch = min(_RHO_BATCH, r - k)
+                steps = _spend(steps, batch, n)
+                for _ in range(batch):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                k += batch
+            r *= 2
+        if g == n:  # the batch overshot: retrace it one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g, steps
+
+
+def _spend(steps: int, k: int, n: int) -> int:
+    steps += k
+    if steps > MAX_RHO_STEPS:
+        raise DomainError(
+            f"integer factoring budget exceeded: {MAX_RHO_STEPS} Pollard rho "
+            f"steps did not split a {n.bit_length()}-bit factor"
+        )
+    return steps
+
+
 def factor_rational(x: Fraction) -> FactoredRational:
     if x == 0:
         raise DomainError("cannot factor zero")
     sign = -1 if x < 0 else 1
-    exps: Dict[int, int] = {}
-    for p, e in sympy.factorint(abs(x.numerator)).items():
-        exps[int(p)] = exps.get(int(p), 0) + int(e)
-    for p, e in sympy.factorint(x.denominator).items():
-        exps[int(p)] = exps.get(int(p), 0) - int(e)
-    return FactoredRational(sign, tuple(sorted((p, e) for p, e in exps.items() if e)))
+    exps = factor_int(abs(x.numerator))
+    for p, e in factor_int(x.denominator).items():
+        exps[p] = -e  # numerator and denominator are coprime
+    return FactoredRational(sign, tuple(sorted(exps.items())))
 
 
 def _check_point(P: Sequence[Fraction]) -> PointQ:
@@ -70,15 +182,59 @@ def _prime_exponent_matrix(pt: PointQ) -> Tuple[List[int], List[FactoredRational
     return primes, facs
 
 
+def coprime_base(values: Iterable[int]) -> List[int]:
+    """Pairwise coprime integers > 1, increasing, such that every positive
+    value is a product of them (factor refinement by gcd splitting: a pair
+    a, b with g = gcd(a, b) > 1 becomes g, a/g, b/g, leaving out 1s; the
+    product of the pool falls at each split, so this ends). No factoring."""
+    todo = [v for v in values if v > 1]
+    base: List[int] = []
+    while todo:
+        a = todo.pop()
+        for i, b in enumerate(base):
+            g = math.gcd(a, b)
+            if g > 1:
+                del base[i]
+                todo += [v for v in (g, a // g, b // g) if v > 1]
+                break
+        else:
+            base.append(a)
+    return sorted(base)
+
+
+def _independent_over_coprime_base(pt: PointQ) -> bool:
+    """Whether the |x_i| have exponent vectors of rank n over the coprime
+    base of their numerators and denominators. Pairwise coprime integers
+    > 1 are multiplicatively independent, so this rank is the rank over
+    the primes, and rank n means no relation among the |x_i|, hence none
+    among the x_i (a relation among the x_i would square to one among the
+    |x_i|)."""
+    base = coprime_base(v for x in pt for v in (abs(x.numerator), x.denominator))
+    rows = []
+    for x in pt:
+        num, den = abs(x.numerator), x.denominator
+        row = []
+        for b in base:
+            num, e = _strip(num, b)
+            den, f = _strip(den, b)
+            row.append(e - f)
+        rows.append(row)
+    return rank(rows) == len(pt)
+
+
 def relation_lattice(P: Sequence[Fraction]) -> LatticeBasis:
     """Basis of {a in Z^n : prod(P[i] ** a[i]) == 1}.
 
-    The kernel of the prime-exponent matrix handles absolute values; the
-    sign condition is a parity functional on that kernel, cutting out a
-    sublattice of index at most 2.
+    A point whose exponent vectors over a coprime base have full rank is
+    independent and gets the zero lattice without any prime factoring.
+    Otherwise the kernel of the prime-exponent matrix handles absolute
+    values; the sign condition is a parity functional on that kernel,
+    cutting out a sublattice of index at most 2.
     """
     pt = _check_point(P)
     n = len(pt)
+    if _independent_over_coprime_base(pt):
+        return LatticeBasis(n, ())
     primes, facs = _prime_exponent_matrix(pt)
     exps = [dict(f.exponents) for f in facs]
     if primes:

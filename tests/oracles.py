@@ -1,11 +1,15 @@
 """Exhaustive oracles the tests compare the library against: phi_oracle
 factors every small monomial product on the curve instead of working from
 the divisor matrix, dependence_oracle multiplies out every small exponent
-vector instead of factoring the coordinates, and scan_oracle evaluates
+vector instead of factoring the coordinates, scan_oracle evaluates
 every coordinate and builds the relation lattice at every parameter instead
-of testing rank from the place forms."""
+of testing rank from the place forms, and relation_oracle factors every
+coordinate with sympy.factorint instead of testing rank over a coprime
+base first."""
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
+
+import sympy
 
 from torusdep.curvegeom import (
     Character,
@@ -18,8 +22,9 @@ from torusdep.curvegeom import (
 )
 from torusdep.errors import DomainError, PreconditionError
 from torusdep.explorer import AnalysisConfig, ScanRecord
-from torusdep.intlattice import content, primitive_witness
+from torusdep.intlattice import IntMatrix, LatticeBasis, content, kernel_basis, primitive_witness
 from torusdep.multdep import (
+    FactoredRational,
     Vector,
     _check_point,
     point_height,
@@ -151,3 +156,44 @@ def scan_oracle(
         )
     records.sort(key=lambda r: (r.height, r.parameter))
     return records
+
+
+def _sympy_factor_rational(x: Fraction) -> FactoredRational:
+    if x == 0:
+        raise DomainError("cannot factor zero")
+    sign = -1 if x < 0 else 1
+    exps: Dict[int, int] = {}
+    for p, e in sympy.factorint(abs(x.numerator)).items():
+        exps[int(p)] = exps.get(int(p), 0) + int(e)
+    for p, e in sympy.factorint(x.denominator).items():
+        exps[int(p)] = exps.get(int(p), 0) - int(e)
+    return FactoredRational(sign, tuple(sorted((p, e) for p, e in exps.items() if e)))
+
+
+def relation_oracle(P: Sequence[Fraction]) -> LatticeBasis:
+    """The relation lattice the prime route alone gives: factor every
+    coordinate with sympy.factorint and take the kernel of the
+    prime-exponent matrix, with the sign parity cut. Test use only."""
+    pt = _check_point(P)
+    n = len(pt)
+    facs = [_sympy_factor_rational(x) for x in pt]
+    primes = sorted({p for f in facs for p, _ in f.exponents})
+    exps = [dict(f.exponents) for f in facs]
+    if primes:
+        rows = [[exps[i].get(p, 0) for i in range(n)] for p in primes]
+        kernel = kernel_basis(IntMatrix(rows))
+    else:
+        kernel = kernel_basis(IntMatrix([[0] * n]))
+    sign_bits = [0 if f.sign > 0 else 1 for f in facs]
+
+    def parity(v: Vector) -> int:
+        return sum(x * s for x, s in zip(v, sign_bits)) % 2
+
+    vecs = list(kernel.vectors)
+    odd = [i for i, v in enumerate(vecs) if parity(v) == 1]
+    if odd:
+        pivot = odd[0]
+        for i in odd[1:]:
+            vecs[i] = tuple(x - y for x, y in zip(vecs[i], vecs[pivot]))
+        vecs[pivot] = tuple(2 * x for x in vecs[pivot])
+    return LatticeBasis(n, tuple(vecs))

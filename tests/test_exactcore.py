@@ -235,3 +235,32 @@ def test_nth_power_in_Q_random_roundtrip():
         c = b ** m
         got = nth_power_in_Q(c, m)
         assert got is not None and got ** m == c
+
+
+POW_BASES = [Poly([F(1, 2), 1]), RatFunc(Poly([F(1, 2), 1]), Poly([-3, 0, 1]))]
+
+
+@pytest.mark.parametrize("x", POW_BASES, ids=["Poly", "RatFunc"])
+def test_pow_matches_repeated_products(x):
+    power = Poly([1]) if isinstance(x, Poly) else RatFunc(Poly([1]))
+    for e in range(41):
+        assert x ** e == power
+        power = power * x
+
+
+@pytest.mark.parametrize("x", POW_BASES, ids=["Poly", "RatFunc"])
+def test_pow_makes_no_unused_square(x, monkeypatch):
+    cls = type(x)
+    real = cls.__mul__
+    products = []
+
+    def counted(a, b):
+        products.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(cls, "__mul__", counted)
+    for e in (1, 2, 3, 7, 8, 31, 40):
+        products.clear()
+        x ** e
+        # bit_length - 1 squares and at most bit_length products into the result
+        assert len(products) <= 2 * e.bit_length() - 1

@@ -1,0 +1,214 @@
+"""Integer factoring by factor_int (small-prime gcd, Brent rho, a step
+budget) against sympy.factorint; the coprime base; and the rank-first
+relation lattice against relation_oracle, the prime route alone."""
+import importlib.util
+import math
+import random
+import sys
+import time
+from fractions import Fraction as F
+from pathlib import Path
+
+import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import relation_oracle
+from torusdep import multdep
+from torusdep.cli import main
+from torusdep.errors import DomainError
+from torusdep.multdep import (
+    coprime_base,
+    factor_int,
+    factor_rational,
+    is_primitively_dependent,
+    relation_lattice,
+)
+
+HUGE = 10 ** 105 + 9  # sympy.factorint takes over a minute on it
+# the oracle can factor these primes alone or as powers, never multiplied
+BIG_P = sympy.nextprime(10 ** 60)
+BIG_Q = sympy.nextprime(10 ** 45)
+
+
+def _sympy(n):
+    return {} if n == 1 else {int(p): int(e) for p, e in sympy.factorint(n).items()}
+
+
+def _same_as_sympy(n):
+    f = factor_int(n)
+    assert f == _sympy(n)
+    assert list(f) == sorted(f)
+
+
+def _primes(rng, digits, count):
+    return [sympy.nextprime(rng.randrange(10 ** (digits - 1), 10 ** digits)) for _ in range(count)]
+
+
+def test_special_values():
+    below, above = sympy.prevprime(1 << 12), sympy.nextprime(1 << 12)
+    near_24 = [sympy.prevprime(1 << 24), sympy.nextprime(1 << 24)]
+    values = [1, 2, below, above, below * above, above ** 2, above * sympy.nextprime(above)]
+    values += near_24 + [(1 << 24) - 1, 1 << 24, (1 << 24) + 1, near_24[0] * near_24[1]]
+    for p in (above, 65537, 1000003, 2 ** 31 - 1):
+        values += [p ** 2, p ** 3, 2 * 3 * p ** 2]
+    for n in values:
+        _same_as_sympy(n)
+
+
+def test_products_of_two_medium_primes():
+    rng = random.Random(11)
+    for a in range(5, 10):
+        for b in range(5, 10):
+            p, q = _primes(rng, a, 1)[0], _primes(rng, b, 1)[0]
+            _same_as_sympy(p * q)
+            _same_as_sympy(p * q * q)
+
+
+def test_seeded_values_up_to_22_digits():
+    rng = random.Random(2024)
+    for _ in range(2000):
+        _same_as_sympy(rng.randrange(1, 10 ** rng.randint(1, 22)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=10 ** 18))
+def test_property_matches_sympy(n):
+    _same_as_sympy(n)
+
+
+def test_perfect_power_of_a_large_prime_needs_no_rho(monkeypatch):
+    p = sympy.nextprime(10 ** 20)
+    monkeypatch.setattr(multdep, "MAX_RHO_STEPS", 0)
+    assert factor_int(p ** 2) == {p: 2}
+    assert factor_int(8 * p ** 3) == {2: 3, p: 3}
+
+
+def test_budget_raises_domain_error(monkeypatch):
+    p, q = _primes(random.Random(3), 9, 2)
+    monkeypatch.setattr(multdep, "MAX_RHO_STEPS", 100)
+    with pytest.raises(DomainError, match="integer factoring budget exceeded"):
+        factor_int(p * q)
+    with pytest.raises(DomainError, match="integer factoring budget exceeded"):
+        factor_rational(F(7, p * q))
+
+
+def test_nonpositive_rejected():
+    for n in (0, -12):
+        with pytest.raises(DomainError):
+            factor_int(n)
+
+
+def test_factor_rational_from_factor_int():
+    rng = random.Random(5)
+    for _ in range(300):
+        x = F(rng.choice((-1, 1)) * rng.randrange(1, 10 ** 12), rng.randrange(1, 10 ** 12))
+        f = factor_rational(x)
+        assert f.value() == x
+        assert [p for p, _ in f.exponents] == sorted({*_sympy(abs(x.numerator)), *_sympy(x.denominator)})
+
+
+# ---------------------------------------------------------------------------
+# coprime base
+
+
+def _check_base(values, base):
+    assert all(b > 1 for b in base) and base == sorted(base)
+    assert all(math.gcd(a, b) == 1 for i, a in enumerate(base) for b in base[i + 1 :])
+    for v in values:
+        rest = v
+        for b in base:
+            while rest % b == 0:
+                rest //= b
+        assert rest == 1
+
+
+def test_coprime_base_examples():
+    assert coprime_base([6, 10, 15]) == [2, 3, 5]
+    assert coprime_base([4, 2]) == [2]
+    assert coprime_base([12, 18, 1]) == [2, 3]
+    assert coprime_base([1, 1]) == []
+    assert coprime_base([30, 5]) == [5, 6]
+    assert coprime_base([HUGE, 2]) == [2, HUGE]
+
+
+def test_coprime_base_random():
+    rng = random.Random(9)
+    small = list(sympy.primerange(2, 60))
+    for _ in range(500):
+        values = [
+            math.prod(rng.choice(small) ** rng.randint(0, 3) for _ in range(rng.randint(0, 5)))
+            for _ in range(rng.randint(1, 6))
+        ]
+        _check_base(values, coprime_base(values))
+
+
+# ---------------------------------------------------------------------------
+# rank-first relation lattice against the prime route
+
+
+def _make_points(seed):
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.make_points(seed)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_benchmark_points_match_oracle(seed):
+    for point, _ in _make_points(seed):
+        assert relation_lattice(point) == relation_oracle(point)
+
+
+SPECIAL_POINTS = [
+    (F(1), F(2)),
+    (F(-1), F(3)),
+    (F(1), F(-1)),
+    (F(-1), F(-1), F(5, 7)),
+    (F(-2), F(2)),
+    (F(2), F(-2), F(3)),
+    (F(-4), F(2)),
+    (F(-1, 3), F(3)),
+    (F(30), F(5)),
+    (F(6), F(10), F(15)),
+    (F(6), F(10), F(-15), F(7)),
+    (F(12), F(18)),
+    (F(12, 35), F(-18, 49), F(5, 6)),
+    (F(BIG_P), F(2)),
+    (F(BIG_P ** 2, BIG_Q), F(-BIG_Q)),
+    (F(BIG_P, BIG_Q), F(-BIG_P ** 3), F(BIG_Q ** 2)),
+    (F(BIG_P ** 2), F(-BIG_P)),
+    (F(2, BIG_P ** 3), F(-3)),
+]
+
+
+@pytest.mark.parametrize("point", SPECIAL_POINTS, ids=str)
+def test_special_points_match_oracle(point):
+    assert relation_lattice(point) == relation_oracle(point)
+
+
+def test_independent_point_is_not_factored(monkeypatch):
+    calls = []
+    real = multdep.factor_int
+    monkeypatch.setattr(multdep, "factor_int", lambda n: calls.append(n) or real(n))
+    assert relation_lattice((F(6), F(-35, 11), F(1000003))).is_zero()
+    assert is_primitively_dependent((F(6), F(10))) is None
+    assert calls == []
+    assert not relation_lattice((F(6), F(-36))).is_zero()
+    assert calls
+
+
+def test_huge_independent_point_answers_fast():
+    start = time.perf_counter()
+    assert relation_lattice((F(HUGE), F(2))).is_zero()
+    assert is_primitively_dependent((F(HUGE), F(2))) is None
+    assert time.perf_counter() - start < 1.0
+
+
+def test_huge_decompose_hits_the_budget(capsys):
+    start = time.perf_counter()
+    assert main(["decompose", "--point", f"{HUGE},2"]) == 2
+    assert time.perf_counter() - start < 10.0
+    assert capsys.readouterr().err.startswith("error:")
