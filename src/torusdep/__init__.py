@@ -16,7 +16,6 @@ from .exactcore import (
     Rational,
     compose_mobius,
     factor_poly,
-    is_cyclotomic,
     monomial_product,
     nth_power_in_Q,
 )

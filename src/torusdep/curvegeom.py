@@ -207,30 +207,28 @@ class NormalizedCharacter:
 def map_degree(curve: CurveData) -> int:
     """Degree of t -> (f_1(t), ..., f_n(t)) onto its image.
 
-    Computed as the t-degree of the gcd over Q(s) of the cross-numerators
-    num_i(t)*den_i(s) - num_i(s)*den_i(t); the parametrization is proper
-    (birational onto the curve) iff this degree is 1.
+    Computed as the t-degree of the gcd of the cross-numerators
+    num_i(t)*den_i(s) - num_i(s)*den_i(t), each built as a dict of Fraction
+    coefficients and taken with one sympy.Poly gcd over QQ; the
+    parametrization is proper (birational onto the curve) iff this degree
+    is 1.
     """
     t, s = sympy.symbols("t s")
-    polys = []
+    g = None
     for f in curve.coords:
         if f.is_constant():
             continue
-        num_t = sympy.Poly(
-            [sympy.Rational(c.numerator, c.denominator) for c in reversed(f.num.coeffs)], t
-        ).as_expr()
-        den_t = sympy.Poly(
-            [sympy.Rational(c.numerator, c.denominator) for c in reversed(f.den.coeffs)], t
-        ).as_expr()
-        num_s = num_t.subs(t, s)
-        den_s = den_t.subs(t, s)
-        polys.append(sympy.expand(num_t * den_s - num_s * den_t))
-    if not polys:
+        cross: Dict[Tuple[int, int], Fraction] = {}
+        for i, a in enumerate(f.num.coeffs):
+            for j, b in enumerate(f.den.coeffs):
+                # num_i*den_j moves to t^i s^j and, negated, to t^j s^i
+                cross[i, j] = cross.get((i, j), 0) + a * b
+                cross[j, i] = cross.get((j, i), 0) - a * b
+        p = sympy.Poly.from_dict({k: c for k, c in cross.items() if c}, t, s, domain="QQ")
+        g = p if g is None else g.gcd(p)
+    if g is None:
         raise DomainError("all coordinates are constant")
-    g = polys[0]
-    for p in polys[1:]:
-        g = sympy.gcd(g, p)
-    return sympy.Poly(g, t).degree()
+    return g.degree(t)
 
 
 def check_assumption(curve: CurveData) -> Optional[Character]:
@@ -239,13 +237,10 @@ def check_assumption(curve: CurveData) -> Optional[Character]:
     kernel = kernel_basis(curve.divisor_matrix)
     if kernel.is_zero():
         return None
+    # a sign-normalized row of a unimodular transform: content 1
     v = kernel.vectors[0]
-    g = content(v)
-    v = tuple(x // g for x in v)
-    for x in v:
-        if x != 0:
-            return v if x > 0 else tuple(-y for y in v)
-    raise InvariantViolation("zero vector in a kernel basis")
+    assert content(v) == 1
+    return v
 
 
 def character_restrict(curve: CurveData, a: Sequence[int]) -> RatFunc:
@@ -267,11 +262,15 @@ def cyclotomic_realizable(c: Fraction, m: int) -> bool:
 def normalize_character(curve: CurveData, a: Sequence[int]) -> NormalizedCharacter:
     """Normalize a character whose divisor on the curve is m(P) - m(Q) with
     P, Q rational: record (P, Q, m, c) with the restriction equal to
-    c * s**m after the Moebius substitution sending P to 0 and Q to inf."""
+    c * s**m after the Moebius substitution sending P to 0 and Q to inf.
+
+    The divisor is read as D*a over the places of the divisor matrix D, as
+    in phi_enumerate; the InvariantViolation checks then cross-check D
+    against the restricted character itself."""
     a = tuple(int(x) for x in a)
     phi = character_restrict(curve, a)
-    div = divisor_of(phi)
-    items = div.items()
+    image = curve.divisor_matrix.mul_vec(a)
+    items = [(p, m) for p, m in zip(curve.place_index, image) if m]
     if len(items) != 2 or any(p.degree != 1 for p, _ in items):
         raise DomainError(
             "character divisor must be supported on two degree-1 places"

@@ -13,7 +13,7 @@ from typing import Iterable, Optional, Sequence
 
 import sympy
 
-from .errors import DomainError, PreconditionError
+from .errors import DomainError
 
 Rational = Fraction
 
@@ -465,21 +465,6 @@ def expand_factors(unit: Fraction, factors) -> Poly:
     return out
 
 
-def euler_phi(n: int) -> int:
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
-
-
 @functools.lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> Poly:
     """The n-th cyclotomic polynomial, by exact division of t^n - 1."""
@@ -490,23 +475,6 @@ def cyclotomic_poly(n: int) -> Poly:
         if n % d == 0:
             num //= cyclotomic_poly(d)
     return num
-
-
-def is_cyclotomic(p: Poly) -> Optional[int]:
-    """Return n if p is the n-th cyclotomic polynomial, else None.
-
-    Candidates come from the preimage of deg(p) under Euler's totient
-    (phi(n) >= sqrt(n/2), so n <= 2*deg^2 suffices) and are verified by
-    exact coefficient comparison.
-    """
-    if not p.is_monic() or p.is_constant():
-        raise PreconditionError("is_cyclotomic expects a monic nonconstant polynomial")
-    d = p.degree
-    bound = max(2, 2 * d * d)
-    for n in range(1, bound + 1):
-        if euler_phi(n) == d and p == cyclotomic_poly(n):
-            return n
-    return None
 
 
 def monomial_product(fs: Sequence[RatFunc], a: Sequence[int]) -> RatFunc:

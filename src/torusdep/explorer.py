@@ -13,6 +13,7 @@ from .curvegeom import (
     Character,
     CurveData,
     NormalizedCharacter,
+    Place,
     character_restrict,
     normalize_character,
     phi_enumerate,
@@ -68,17 +69,16 @@ def parse_curve(text: str) -> CurveData:
 
 def _cyclotomic_factors(curve: CurveData, phi: RatFunc, d: int) -> List[Poly]:
     """Factors of the numerator of Phi_d(phi), in factor_poly order, whose
-    roots leave every coordinate finite and nonzero. For phi = A/B in lowest
-    terms that numerator is sum_k c_k * A**k * B**(e - k), where
-    Phi_d = sum_k c_k * t**k has degree e."""
+    roots leave every coordinate finite and nonzero: a factor is kept iff it
+    is not a place of the curve (coordinates are reduced, and place_index is
+    the union of their supports). For phi = A/B in lowest terms that
+    numerator is sum_k c_k * A**k * B**(e - k), where Phi_d = sum_k c_k * t**k
+    has degree e."""
     cs = cyclotomic_poly(d).coeffs
     e = len(cs) - 1
     g = sum((c * phi.num ** k * phi.den ** (e - k) for k, c in enumerate(cs) if c), Poly())
-    return [
-        q
-        for q, _mult in factor_poly(g)[1]
-        if not any(q.divides(f.num) or q.divides(f.den) for f in curve.coords)
-    ]
+    places = set(curve.place_index)
+    return [q for q, _mult in factor_poly(g)[1] if Place.finite(q) not in places]
 
 
 def _order_fiber(by_divisor: Dict[int, List[Poly]], N: int) -> Tuple[Poly, ...]:
@@ -245,8 +245,6 @@ def scan_dependent(
 class Report:
     curve_text: Tuple[str, ...]
     map_degree: int
-    assumption_ok: bool
-    violation: Optional[Tuple[int, ...]]
     phi: Tuple[NormalizedCharacter, ...]
     fibers: Tuple[Tuple[Character, int, Tuple[Poly, ...]], ...]
     scan: Tuple[ScanRecord, ...]
@@ -263,10 +261,9 @@ class Report:
         return {
             "curve": list(self.curve_text),
             "map_degree": self.map_degree,
-            "assumption": {
-                "ok": self.assumption_ok,
-                "violation": list(self.violation) if self.violation else None,
-            },
+            # constant: analyze raises before reporting on a curve that
+            # fails either check
+            "assumption": {"ok": True, "violation": None},
             "phi": [ch.to_dict() for ch in self.phi],
             "fibers": [
                 {
@@ -300,7 +297,7 @@ class Report:
     def to_text(self) -> str:
         lines = [f"curve: {'; '.join(self.curve_text)}"]
         lines.append(f"map degree: {self.map_degree}")
-        lines.append(f"assumption ok: {self.assumption_ok}")
+        lines.append("assumption ok: True")
         lines.append(f"characters ({len(self.phi)}):")
         for ch in self.phi:
             lines.append(
@@ -344,8 +341,6 @@ def analyze(curve_text: str, config: AnalysisConfig = AnalysisConfig()) -> Repor
     return Report(
         curve_text=tuple(str(f) for f in curve.coords),
         map_degree=curve.degree,
-        assumption_ok=True,
-        violation=None,
         phi=phi,
         fibers=tuple(fibers),
         scan=scan,

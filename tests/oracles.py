@@ -3,9 +3,13 @@ factors every small monomial product on the curve instead of working from
 the divisor matrix, dependence_oracle multiplies out every small exponent
 vector instead of factoring the coordinates, scan_oracle evaluates
 every coordinate and builds the relation lattice at every parameter instead
-of testing rank from the place forms, and relation_oracle factors every
+of testing rank from the place forms, relation_oracle factors every
 coordinate with sympy.factorint instead of testing rank over a coprime
-base first."""
+base first, map_degree_oracle takes the properness gcd through sympy
+expressions (expand, subs, sympy.gcd) instead of one sympy.Poly gcd of
+coefficient dicts, and character_oracle normalizes a character from the
+factored restricted character (divisor_of) instead of from the divisor
+matrix."""
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
@@ -15,12 +19,15 @@ from torusdep.curvegeom import (
     Character,
     CurveData,
     NormalizedCharacter,
+    _mobius_to_zero_inf,
     character_restrict,
     check_assumption,
+    cyclotomic_realizable,
     divisor_of,
     phi_enumerate,
 )
-from torusdep.errors import DomainError, PreconditionError
+from torusdep.errors import DomainError, InvariantViolation, PreconditionError
+from torusdep.exactcore import Poly, compose_mobius
 from torusdep.explorer import AnalysisConfig, ScanRecord
 from torusdep.intlattice import IntMatrix, LatticeBasis, content, kernel_basis, primitive_witness
 from torusdep.multdep import (
@@ -197,3 +204,58 @@ def relation_oracle(P: Sequence[Fraction]) -> LatticeBasis:
             vecs[i] = tuple(x - y for x, y in zip(vecs[i], vecs[pivot]))
         vecs[pivot] = tuple(2 * x for x in vecs[pivot])
     return LatticeBasis(n, tuple(vecs))
+
+
+def map_degree_oracle(curve: CurveData) -> int:
+    """The map degree the expression route gives: build every
+    cross-numerator as a sympy expression (subs, expand) and take their
+    gcd with sympy.gcd. Test use only."""
+    t, s = sympy.symbols("t s")
+    polys = []
+    for f in curve.coords:
+        if f.is_constant():
+            continue
+        num_t = sympy.Poly(
+            [sympy.Rational(c.numerator, c.denominator) for c in reversed(f.num.coeffs)], t
+        ).as_expr()
+        den_t = sympy.Poly(
+            [sympy.Rational(c.numerator, c.denominator) for c in reversed(f.den.coeffs)], t
+        ).as_expr()
+        num_s = num_t.subs(t, s)
+        den_s = den_t.subs(t, s)
+        polys.append(sympy.expand(num_t * den_s - num_s * den_t))
+    if not polys:
+        raise DomainError("all coordinates are constant")
+    g = polys[0]
+    for p in polys[1:]:
+        g = sympy.gcd(g, p)
+    return sympy.Poly(g, t).degree()
+
+
+def character_oracle(curve: CurveData, a: Sequence[int]) -> NormalizedCharacter:
+    """normalize_character with the divisor taken by factoring the
+    restricted character itself (divisor_of) rather than as D*a. Test use
+    only."""
+    a = tuple(int(x) for x in a)
+    phi = character_restrict(curve, a)
+    div = divisor_of(phi)
+    items = div.items()
+    if len(items) != 2 or any(p.degree != 1 for p, _ in items):
+        raise DomainError(
+            "character divisor must be supported on two degree-1 places"
+        )
+    (p1, m1), (p2, m2) = items
+    if m1 + m2 != 0:
+        raise InvariantViolation("two-point divisor with non-opposite multiplicities")
+    P, Q, m = (p1, p2, m1) if m1 > 0 else (p2, p1, m2)
+    mu = _mobius_to_zero_inf(P, Q)
+    composed = compose_mobius(phi, mu.inverse())
+    if composed.den != Poly([1]):
+        raise InvariantViolation("normalized character is not polynomial")
+    coeffs = composed.num.coeffs
+    if composed.num.degree != m or any(c != 0 for c in coeffs[:-1]):
+        raise InvariantViolation("normalized character is not a monomial")
+    c = coeffs[-1]
+    return NormalizedCharacter(
+        a=a, P=P, Q=Q, m=m, c=c, realizable_cyclotomic=cyclotomic_realizable(c, m)
+    )

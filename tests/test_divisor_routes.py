@@ -1,0 +1,154 @@
+"""Per-curve geometry comes from the divisor matrix and one polynomial gcd:
+map_degree against the sympy expression route (map_degree_oracle),
+normalize_character against the factored restricted character
+(character_oracle), and divisor_of called only while building a curve."""
+import itertools
+import random
+import time
+from fractions import Fraction as F
+
+import pytest
+import sympy
+
+from oracles import character_oracle, map_degree_oracle
+from test_acceptance import _random_proper_curves as criterion_4_curves
+from torusdep import curvegeom
+from torusdep.curvegeom import CurveData, map_degree, normalize_character, phi_enumerate
+from torusdep.errors import DomainError
+from torusdep.exactcore import Mobius, Poly, RatFunc
+from torusdep.explorer import AnalysisConfig, analyze, parse_curve, torsion_fiber
+
+BENCH_CURVES = ["(t-1)^2; t", "(t-1)^3; t", "2*t/(t+1); t^(-2)", "t*(t+1); (t-2)/(t+3); t-5"]
+EXAMPLE_CURVES = BENCH_CURVES + [
+    "(t+1)/(t-1); (2*t+3)/(t-5)",
+    "t^2*(t+1)/(t-3); (3*t^2+1)/(t+5)^2; 7*t",
+    "t; t^2",
+    "t^2; t^3",
+    "t^2; t^4",
+    "t^2; t^4+1",
+    "t; 2*t",
+    "2; t",
+    "2*t^3; t-1",
+    "2*t; t+1",
+    "t; t+1; (t-1)^2",
+    "(t^2+1)/t; t^2",
+    "(t^2+1)/t; (t^4+1)/t^2",
+]
+
+T = RatFunc.variable()
+INNER = [  # (inner map g, map degree of a proper curve composed with g)
+    (T ** 2, 2),
+    ((T ** 2 + 1) / T, 2),
+    (Mobius(2, 1, 1, -3).as_ratfunc(), 1),
+]
+
+
+@pytest.mark.parametrize("text", EXAMPLE_CURVES)
+def test_map_degree_matches_expression_route(text):
+    curve = parse_curve(text)
+    assert map_degree(curve) == map_degree_oracle(curve)
+
+
+def _seeded_proper_curves(count, seed):
+    rng = random.Random(seed)
+
+    def rand_poly():
+        while True:
+            p = Poly([F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(rng.randint(1, 3))])
+            if not p.is_zero():
+                return p
+
+    curves = []
+    while len(curves) < count:
+        coords = [RatFunc(rand_poly(), rand_poly()) for _ in range(rng.choice([2, 3]))]
+        if any(f.is_zero() or f.is_constant() for f in coords):
+            continue
+        curve = CurveData.build(coords)
+        if map_degree_oracle(curve) == 1:
+            curves.append(coords)
+    return curves
+
+
+def test_map_degree_on_composed_curves():
+    degrees = []
+    for coords in _seeded_proper_curves(12, seed=606):
+        for g, expected in INNER:
+            curve = CurveData.build([f.compose(g) for f in coords])
+            got = map_degree(curve)
+            assert got == map_degree_oracle(curve) == expected
+            degrees.append(got)
+    assert degrees.count(2) == 24
+
+
+def test_map_degree_builds_no_sympy_expression(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("expression route used")
+
+    for name in ("expand", "gcd"):
+        monkeypatch.setattr(sympy, name, refuse)
+    monkeypatch.setattr(sympy.Basic, "subs", refuse)
+    assert map_degree(parse_curve("t^2; t^4+1")) == 2
+    assert map_degree(parse_curve("t*(t+1); (t-2)/(t+3); t-5")) == 1
+
+
+def test_map_degree_on_a_dense_quotient_is_fast():
+    curve = parse_curve("(t+1)^80/(t+2)^80; t")
+    start = time.perf_counter()
+    assert map_degree(curve) == 1
+    assert time.perf_counter() - start < 5
+
+
+def _characters_match(curve):
+    chars = phi_enumerate(curve)
+    for ch in chars:
+        assert normalize_character(curve, ch.a) == ch == character_oracle(curve, ch.a)
+    return len(chars)
+
+
+@pytest.mark.parametrize("text", BENCH_CURVES)
+def test_characters_match_factored_route_on_bench_curves(text):
+    assert _characters_match(parse_curve(text)) > 0
+
+
+def test_characters_match_factored_route_on_criterion_4_curves():
+    assert sum(_characters_match(curve) for curve in criterion_4_curves(50, seed=20260823)) > 0
+
+
+def _outcome(normalize, curve, a):
+    try:
+        return normalize(curve, a)
+    except DomainError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("text", BENCH_CURVES)
+def test_both_routes_agree_on_every_small_vector(text):
+    """Imprimitive multiples of characters normalize too; everything else
+    is refused with the same DomainError by both routes."""
+    curve = parse_curve(text)
+    refused = 0
+    for a in itertools.product(range(-2, 3), repeat=curve.n):
+        if any(a):
+            got = _outcome(normalize_character, curve, a)
+            assert got == _outcome(character_oracle, curve, a)
+            refused += isinstance(got, str)
+    assert refused > 0
+
+
+def test_divisor_of_runs_only_while_building_the_curve(monkeypatch):
+    calls = []
+    original = curvegeom.divisor_of
+
+    def counted(f):
+        calls.append(f)
+        return original(f)
+
+    monkeypatch.setattr(curvegeom, "divisor_of", counted)
+    text = "t*(t+1); (t-2)/(t+3); t-5"
+    analyze(text, AnalysisConfig(torsion_order_bound=6, scan_height_bound=10))
+    assert len(calls) == 3  # one per coordinate, in CurveData.build
+    curve = parse_curve(text)
+    del calls[:]
+    chars = phi_enumerate(curve)
+    torsion_fiber(curve, chars[0].a, 6)
+    assert calls == []

@@ -14,7 +14,6 @@ from torusdep.exactcore import (
     expand_factors,
     factor_poly,
     int_nth_root,
-    is_cyclotomic,
     monomial_product,
     nth_power_in_Q,
     poly_gcd,
@@ -142,17 +141,9 @@ def test_factor_irreducibility_against_brute_force():
     assert checked > 30
 
 
-def test_is_cyclotomic_examples():
-    assert is_cyclotomic(T - 1) == 1
-    assert is_cyclotomic(T ** 2 + 1) == 4
-    assert is_cyclotomic(T ** 2 - 2) is None
-    assert is_cyclotomic(Poly([1, 1, 1, 1, 1])) == 5
-
-
-def test_is_cyclotomic_divides_t_n_minus_1():
+def test_cyclotomic_poly_divides_t_n_minus_1():
     for n in range(1, 40):
         p = cyclotomic_poly(n)
-        assert is_cyclotomic(p) == n
         tn = T ** n - 1
         assert p.divides(tn)
         for k in range(1, n):
