@@ -10,11 +10,9 @@ from .errors import (
     PreconditionError,
 )
 from .exactcore import (
-    Mobius,
     Poly,
     RatFunc,
     Rational,
-    compose_mobius,
     factor_poly,
     monomial_product,
     nth_power_in_Q,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -27,6 +28,7 @@ from .multdep import (
     point_height,
     relation_lattice,
 )
+from .parser import MAX_LITERAL_DIGITS
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -36,8 +38,20 @@ EXIT_INVARIANT = 5
 
 
 def _parse_point(text: str):
+    """Coordinates written as integers, p/q or decimals. Exponent notation,
+    and a numerator or denominator of more than MAX_LITERAL_DIGITS digits as
+    written (ab over 10^len(b) for a decimal a.b), are refused before any
+    Fraction is built."""
+    pieces = [piece.strip() for piece in text.split(",")]
+    for piece in pieces:
+        if re.search(r"[eE][+-]?\d", piece):
+            raise ParseError("bad point: exponent notation is not accepted", 0)
+        num, _, den = piece.partition("/")
+        whole, _, frac = (sum(map(str.isdigit, s)) for s in num.partition("."))
+        if max(whole + frac, frac + 1, sum(map(str.isdigit, den))) > MAX_LITERAL_DIGITS:
+            raise ParseError(f"bad point: literal longer than {MAX_LITERAL_DIGITS} digits", 0)
     try:
-        coords = tuple(Fraction(piece.strip()) for piece in text.split(","))
+        coords = tuple(Fraction(piece) for piece in pieces)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad point: {exc}", 0) from None
     if len(coords) < 2:

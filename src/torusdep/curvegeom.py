@@ -19,10 +19,8 @@ from .errors import (
     InvariantViolation,
 )
 from .exactcore import (
-    Mobius,
     Poly,
     RatFunc,
-    compose_mobius,
     factor_poly,
     monomial_product,
     nth_power_in_Q,
@@ -264,11 +262,13 @@ def normalize_character(curve: CurveData, a: Sequence[int]) -> NormalizedCharact
     P, Q rational: record (P, Q, m, c) with the restriction equal to
     c * s**m after the Moebius substitution sending P to 0 and Q to inf.
 
-    The divisor is read as D*a over the places of the divisor matrix D, as
-    in phi_enumerate; the InvariantViolation checks then cross-check D
-    against the restricted character itself."""
+    P, Q and m come from the divisor D*a, read over the places of the
+    divisor matrix D as in phi_enumerate. The restriction is then
+    c*(t-p)**m, c/(t-q)**m or c*((t-p)/(t-q))**m, so c is its
+    leading-coefficient ratio prod(lc(num_i)**a_i), denominators being monic."""
     a = tuple(int(x) for x in a)
-    phi = character_restrict(curve, a)
+    if len(a) != curve.n:
+        raise DomainError(f"got {curve.n} functions but {len(a)} exponents")
     image = curve.divisor_matrix.mul_vec(a)
     items = [(p, m) for p, m in zip(curve.place_index, image) if m]
     if len(items) != 2 or any(p.degree != 1 for p, _ in items):
@@ -279,31 +279,12 @@ def normalize_character(curve: CurveData, a: Sequence[int]) -> NormalizedCharact
     if m1 + m2 != 0:
         raise InvariantViolation("two-point divisor with non-opposite multiplicities")
     P, Q, m = (p1, p2, m1) if m1 > 0 else (p2, p1, m2)
-    mu = _mobius_to_zero_inf(P, Q)
-    composed = compose_mobius(phi, mu.inverse())
-    if composed.den != Poly([1]):
-        raise InvariantViolation("normalized character is not polynomial")
-    coeffs = composed.num.coeffs
-    if composed.num.degree != m or any(c != 0 for c in coeffs[:-1]):
-        raise InvariantViolation("normalized character is not a monomial")
-    c = coeffs[-1]
+    c = Fraction(1)
+    for f, e in zip(curve.coords, a):
+        c *= f.num.leading ** e
     return NormalizedCharacter(
         a=a, P=P, Q=Q, m=m, c=c, realizable_cyclotomic=cyclotomic_realizable(c, m)
     )
-
-
-def _mobius_to_zero_inf(P: Place, Q: Place) -> Mobius:
-    """The Moebius map with mu(P) = 0 and mu(Q) = infinity."""
-    if P.is_infinity and Q.is_infinity:
-        raise DomainError("P and Q must be distinct")
-    if Q.is_infinity:
-        return Mobius(1, -P.rational_root(), 0, 1)
-    if P.is_infinity:
-        return Mobius(0, 1, 1, -Q.rational_root())
-    p, q = P.rational_root(), Q.rational_root()
-    if p == q:
-        raise DomainError("P and Q must be distinct")
-    return Mobius(1, -p, 1, -q)
 
 
 def phi_enumerate(curve: CurveData) -> List[NormalizedCharacter]:

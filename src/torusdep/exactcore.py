@@ -1,5 +1,5 @@
 """Exact arithmetic substrate: rationals, univariate polynomials over Q,
-reduced rational functions, and Moebius transformations.
+and reduced rational functions.
 
 Rationals are plain :class:`fractions.Fraction` values (always reduced,
 positive denominator). Polynomials are dense coefficient tuples starting
@@ -325,14 +325,6 @@ class RatFunc:
             raise ZeroDivisionError(f"pole at t = {x}")
         return self.num(x) / d
 
-    def compose(self, g: "RatFunc") -> "RatFunc":
-        """Substitute t := g(s), exactly."""
-        num = _poly_at_ratfunc(self.num, g)
-        den = _poly_at_ratfunc(self.den, g)
-        if den.is_zero():
-            raise ZeroDivisionError("composition hits an identical zero denominator")
-        return num / den
-
     def __str__(self):
         if self.den == Poly([1]):
             return str(self.num)
@@ -348,73 +340,6 @@ def _as_ratfunc(x) -> RatFunc:
     if isinstance(x, Poly):
         return RatFunc(x)
     return RatFunc(Poly([_frac(x)]))
-
-
-def _poly_at_ratfunc(p: Poly, g: RatFunc) -> RatFunc:
-    acc = RatFunc(Poly())
-    for c in reversed(p.coeffs):
-        acc = acc * g + RatFunc(Poly([c]))
-    return acc
-
-
-class Mobius:
-    """An invertible map t -> (a*t + b)/(c*t + d)."""
-
-    __slots__ = ("a", "b", "c", "d")
-
-    def __init__(self, a, b, c, d):
-        a, b, c, d = _frac(a), _frac(b), _frac(c), _frac(d)
-        if a * d - b * c == 0:
-            raise DomainError("Moebius transformation must have nonzero determinant")
-        for name, val in zip("abcd", (a, b, c, d)):
-            object.__setattr__(self, name, val)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Mobius is immutable")
-
-    @classmethod
-    def identity(cls) -> "Mobius":
-        return cls(1, 0, 0, 1)
-
-    @property
-    def determinant(self) -> Fraction:
-        return self.a * self.d - self.b * self.c
-
-    def as_ratfunc(self) -> RatFunc:
-        return RatFunc(Poly([self.b, self.a]), Poly([self.d, self.c]))
-
-    def inverse(self) -> "Mobius":
-        return Mobius(self.d, -self.b, -self.c, self.a)
-
-    def compose(self, other: "Mobius") -> "Mobius":
-        """self after other: t -> self(other(t))."""
-        return Mobius(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, Mobius):
-            return NotImplemented
-        # Projective equality: equal as maps.
-        return (
-            self.a * other.b == self.b * other.a
-            and self.a * other.c == self.c * other.a
-            and self.a * other.d == self.d * other.a
-            and self.b * other.c == self.c * other.b
-            and self.b * other.d == self.d * other.b
-            and self.c * other.d == self.d * other.c
-        )
-
-    def __repr__(self):
-        return f"Mobius({self.a}, {self.b}, {self.c}, {self.d})"
-
-
-def compose_mobius(f: RatFunc, mu: Mobius) -> RatFunc:
-    """Exact substitution f(mu(s))."""
-    return f.compose(mu.as_ratfunc())
 
 
 def _poly_to_sympy(p: Poly):

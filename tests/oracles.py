@@ -8,8 +8,11 @@ coordinate with sympy.factorint instead of testing rank over a coprime
 base first, map_degree_oracle takes the properness gcd through sympy
 expressions (expand, subs, sympy.gcd) instead of one sympy.Poly gcd of
 coefficient dicts, and character_oracle normalizes a character from the
-factored restricted character (divisor_of) instead of from the divisor
-matrix."""
+factored restricted character (divisor_of) and reads c off its
+composition with a Moebius map instead of taking P, Q and m from the
+divisor matrix and c from leading coefficients. compose substitutes one
+rational function into another in sympy.Poly alone, so no oracle composes
+with the library's own arithmetic."""
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
@@ -19,7 +22,7 @@ from torusdep.curvegeom import (
     Character,
     CurveData,
     NormalizedCharacter,
-    _mobius_to_zero_inf,
+    Place,
     character_restrict,
     check_assumption,
     cyclotomic_realizable,
@@ -27,7 +30,7 @@ from torusdep.curvegeom import (
     phi_enumerate,
 )
 from torusdep.errors import DomainError, InvariantViolation, PreconditionError
-from torusdep.exactcore import Poly, compose_mobius
+from torusdep.exactcore import Poly, RatFunc
 from torusdep.explorer import AnalysisConfig, ScanRecord
 from torusdep.intlattice import IntMatrix, LatticeBasis, content, kernel_basis, primitive_witness
 from torusdep.multdep import (
@@ -232,10 +235,51 @@ def map_degree_oracle(curve: CurveData) -> int:
     return sympy.Poly(g, t).degree()
 
 
+def _to_sympy_poly(p: Poly, t):
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)], t, domain="QQ")
+
+
+def compose(f: RatFunc, g: RatFunc) -> RatFunc:
+    """f(g(t)), substituted and cancelled in sympy.Poly alone: with g = A/B,
+    a polynomial p of degree k becomes sum p_i*A**i*B**(k-i) over B**k, and
+    Poly.cancel reduces the quotient. Test use only."""
+    t = sympy.Symbol("t")
+    A, B = (_to_sympy_poly(p, t) for p in (g.num, g.den))
+
+    def at_g(p: Poly):
+        terms = (c * A ** i * B ** (p.degree - i) for i, c in enumerate(p.coeffs))
+        return sum(terms, sympy.Poly(0, t, domain="QQ"))
+
+    num, den = at_g(f.num), at_g(f.den)
+    if f.den.degree >= f.num.degree:
+        num *= B ** (f.den.degree - f.num.degree)
+    else:
+        den *= B ** (f.num.degree - f.den.degree)
+    num, den = num.cancel(den, include=True)
+
+    def from_sympy(p) -> Poly:
+        return Poly(Fraction(int(c.p), int(c.q)) for c in reversed(p.all_coeffs()))
+
+    return RatFunc(from_sympy(num), from_sympy(den))
+
+
+def _mobius_from_zero_inf(P: Place, Q: Place) -> RatFunc:
+    """The inverse of the Moebius map sending P to 0 and Q to infinity."""
+    T = RatFunc.variable()
+    if Q.is_infinity:
+        return T + P.rational_root()
+    if P.is_infinity:
+        return Q.rational_root() + 1 / T
+    p, q = P.rational_root(), Q.rational_root()
+    return (p - q * T) / (1 - T)
+
+
 def character_oracle(curve: CurveData, a: Sequence[int]) -> NormalizedCharacter:
     """normalize_character with the divisor taken by factoring the
-    restricted character itself (divisor_of) rather than as D*a. Test use
-    only."""
+    restricted character itself (divisor_of) rather than as D*a, and with
+    c read off the restricted character composed with the Moebius map
+    sending P to 0 and Q to infinity, which must be the monomial c*s**m.
+    Test use only."""
     a = tuple(int(x) for x in a)
     phi = character_restrict(curve, a)
     div = divisor_of(phi)
@@ -248,8 +292,7 @@ def character_oracle(curve: CurveData, a: Sequence[int]) -> NormalizedCharacter:
     if m1 + m2 != 0:
         raise InvariantViolation("two-point divisor with non-opposite multiplicities")
     P, Q, m = (p1, p2, m1) if m1 > 0 else (p2, p1, m2)
-    mu = _mobius_to_zero_inf(P, Q)
-    composed = compose_mobius(phi, mu.inverse())
+    composed = compose(phi, _mobius_from_zero_inf(P, Q))
     if composed.den != Poly([1]):
         raise InvariantViolation("normalized character is not polynomial")
     coeffs = composed.num.coeffs

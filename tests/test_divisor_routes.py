@@ -1,7 +1,8 @@
 """Per-curve geometry comes from the divisor matrix and one polynomial gcd:
 map_degree against the sympy expression route (map_degree_oracle),
-normalize_character against the factored restricted character
-(character_oracle), and divisor_of called only while building a curve."""
+normalize_character (P, Q and m from D*a, c from leading coefficients)
+against the factored and composed restricted character (character_oracle),
+and divisor_of called only while building a curve."""
 import itertools
 import random
 import time
@@ -10,12 +11,13 @@ from fractions import Fraction as F
 import pytest
 import sympy
 
-from oracles import character_oracle, map_degree_oracle
+from oracles import character_oracle, compose, map_degree_oracle
 from test_acceptance import _random_proper_curves as criterion_4_curves
 from torusdep import curvegeom
+from torusdep.cli import main
 from torusdep.curvegeom import CurveData, map_degree, normalize_character, phi_enumerate
 from torusdep.errors import DomainError
-from torusdep.exactcore import Mobius, Poly, RatFunc
+from torusdep.exactcore import Poly, RatFunc
 from torusdep.explorer import AnalysisConfig, analyze, parse_curve, torsion_fiber
 
 BENCH_CURVES = ["(t-1)^2; t", "(t-1)^3; t", "2*t/(t+1); t^(-2)", "t*(t+1); (t-2)/(t+3); t-5"]
@@ -35,11 +37,19 @@ EXAMPLE_CURVES = BENCH_CURVES + [
     "(t^2+1)/t; (t^4+1)/t^2",
 ]
 
+NON_MONIC_CURVES = [  # leading coefficients other than 1, of either sign
+    "3*(t-1)^2/(2*t+1); 5*t",
+    "3*(t-1)^2/(2*t+1); -5*t",
+    "-2*t^3; (t-1)/3",
+    "(2*t+3)/(5*t-1); -7*t",
+    "(t+1)^12/(t+2)^12; t",
+]
+
 T = RatFunc.variable()
 INNER = [  # (inner map g, map degree of a proper curve composed with g)
     (T ** 2, 2),
     ((T ** 2 + 1) / T, 2),
-    (Mobius(2, 1, 1, -3).as_ratfunc(), 1),
+    ((2 * T + 1) / (T - 3), 1),
 ]
 
 
@@ -73,7 +83,7 @@ def test_map_degree_on_composed_curves():
     degrees = []
     for coords in _seeded_proper_curves(12, seed=606):
         for g, expected in INNER:
-            curve = CurveData.build([f.compose(g) for f in coords])
+            curve = CurveData.build([compose(f, g) for f in coords])
             got = map_degree(curve)
             assert got == map_degree_oracle(curve) == expected
             degrees.append(got)
@@ -112,6 +122,53 @@ def test_characters_match_factored_route_on_bench_curves(text):
 
 def test_characters_match_factored_route_on_criterion_4_curves():
     assert sum(_characters_match(curve) for curve in criterion_4_curves(50, seed=20260823)) > 0
+
+
+@pytest.mark.parametrize("text", NON_MONIC_CURVES)
+def test_characters_match_factored_route_on_non_monic_curves(text):
+    assert _characters_match(parse_curve(text)) > 0
+
+
+def test_c_is_the_leading_coefficient_ratio_in_each_place_case():
+    chars = {ch.a: ch for ch in phi_enumerate(parse_curve("-2*t^3; (t-1)/3"))}
+    assert (str(chars[1, 0].P), str(chars[1, 0].Q), chars[1, 0].c) == ("t", "inf", -2)
+    assert (str(chars[0, -1].P), str(chars[0, -1].Q), chars[0, -1].c) == ("inf", "t - 1", 3)
+    assert (str(chars[1, -3].P), str(chars[1, -3].Q), chars[1, -3].c) == ("t", "t - 1", -54)
+    cases = {
+        (ch.P.is_infinity, ch.Q.is_infinity)
+        for text in NON_MONIC_CURVES
+        for ch in phi_enumerate(parse_curve(text))
+    }
+    assert cases == {(False, True), (True, False), (False, False)}
+
+
+@pytest.mark.parametrize("text, m", [("(t+1)^250; t", 250), ("(t+1)^200/(t+2)^200; t", 200)])
+def test_phi_enumerate_on_a_dense_curve_is_fast(text, m):
+    start = time.perf_counter()
+    chars = phi_enumerate(parse_curve(text))  # parse and properness included
+    assert time.perf_counter() - start < 10
+    assert {ch.m for ch in chars} == {1, m}
+    assert all(ch.c == 1 for ch in chars)
+
+
+def test_phi_enumerate_restricts_no_character(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("character restricted")
+
+    monkeypatch.setattr(curvegeom, "character_restrict", refuse)
+    for text in BENCH_CURVES + NON_MONIC_CURVES:
+        assert phi_enumerate(parse_curve(text))
+
+
+def test_wrong_length_message_is_unchanged(capsys):
+    curve = parse_curve("(t-1)^3; t")
+    for a, message in (((1, 0, 0), "got 2 functions but 3 exponents"), ((1,), "got 2 functions but 1 exponents")):
+        with pytest.raises(DomainError) as exc:
+            normalize_character(curve, a)
+        assert str(exc.value) == message
+        char = ",".join(map(str, a))
+        assert main(["fiber", "--curve", "(t-1)^3; t", "--char", char, "--order", "2"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def _outcome(normalize, curve, a):

@@ -6,10 +6,8 @@ import pytest
 
 from torusdep.errors import DomainError
 from torusdep.exactcore import (
-    Mobius,
     Poly,
     RatFunc,
-    compose_mobius,
     cyclotomic_poly,
     expand_factors,
     factor_poly,
@@ -161,44 +159,6 @@ def test_monomial_product_examples():
     )
     with pytest.raises(DomainError):
         monomial_product([f1], (1, 2))
-
-
-def test_compose_mobius_examples():
-    f = RatFunc((T - 1) ** 3)
-    assert compose_mobius(f, Mobius(1, 1, 0, 1)) == RatFunc(T ** 3)
-    assert compose_mobius(RatFunc(T), Mobius.identity()) == RatFunc(T)
-    f = RatFunc(2 * T, T + 1)
-    mu = Mobius(1, 0, -1, 1)  # s -> s/(1-s)
-    assert compose_mobius(f, mu) == RatFunc(2 * T)
-
-
-def test_compose_mobius_inverse_roundtrip():
-    rng = random.Random(4)
-    for _ in range(30):
-        while True:
-            mu_entries = [rng.randint(-3, 3) for _ in range(4)]
-            if mu_entries[0] * mu_entries[3] - mu_entries[1] * mu_entries[2] != 0:
-                break
-        mu = Mobius(*mu_entries)
-        f = RatFunc(_rand_poly(rng, 4, 3), _rand_poly(rng, 4, 3))
-        if f.is_zero():
-            continue
-        assert compose_mobius(compose_mobius(f, mu), mu.inverse()) == f
-
-
-def test_compose_mobius_right_group_action():
-    rng = random.Random(5)
-    for _ in range(30):
-        mus = []
-        while len(mus) < 2:
-            e = [rng.randint(-3, 3) for _ in range(4)]
-            if e[0] * e[3] - e[1] * e[2] != 0:
-                mus.append(Mobius(*e))
-        mu1, mu2 = mus
-        f = RatFunc(_rand_poly(rng, 4, 3), _rand_poly(rng, 4, 3))
-        assert compose_mobius(f, mu1.compose(mu2)) == compose_mobius(
-            compose_mobius(f, mu1), mu2
-        )
 
 
 def test_int_nth_root():

@@ -1,7 +1,9 @@
 """Curve validation (properness and the standing hypothesis), checked once
-per curve and reported by exception type; CLI exit codes; parser budgets."""
+per curve and reported by exception type; CLI exit codes; parser and
+point-literal budgets."""
 import json
 import sys
+import time
 
 import pytest
 
@@ -116,6 +118,28 @@ class TestExitCodes:
     def test_huge_power_exits_2(self, capsys):
         assert main(["check", "--curve", "t^99999999; t"]) == 2
         assert capsys.readouterr().err.startswith("parse error:")
+
+
+    def test_point_in_exponent_notation_exits_2(self, capsys):
+        start = time.perf_counter()
+        for point in ("1e20000,3", "1e10000000,3", "2,3E2", "1.5e-3,2"):
+            assert main(["depends", "--point", point]) == 2
+            assert capsys.readouterr().err.startswith("parse error:")
+        assert time.perf_counter() - start < 5
+
+    def test_point_literal_digit_budget(self, capsys):
+        most = "1" + "0" * (MAX_LITERAL_DIGITS - 1)
+        for point in (f"{most},3", f"3,-2/{most}", f"{most[:-1]}.5,3"):
+            assert main(["depends", "--point", point]) == 0
+            assert json.loads(capsys.readouterr().out)["dependent"] is False
+        for point in (f"{most}0,3", f"2/{most}0,3", f"{most}.5,3", "0." + "3" * MAX_LITERAL_DIGITS + ",2"):
+            assert main(["depends", "--point", point]) == 2
+            assert capsys.readouterr().err.startswith("parse error:")
+
+    def test_point_integers_fractions_and_decimals(self, capsys):
+        assert main(["depends", "--point", "1/2, 0.25,-3"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["point"] == ["1/2", "1/4", "-3"] and out["relations"] == [[2, -1, 0]]
 
 
 class TestParserBudgets:
