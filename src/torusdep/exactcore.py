@@ -8,6 +8,7 @@ with the constant term; the zero polynomial has degree -1.
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -163,6 +164,19 @@ class Poly:
 
     def __mod__(self, other):
         return divmod(self, other)[1]
+
+    def shift(self, a) -> "Poly":
+        """p(t + a) by an integer Taylor shift, O(deg**2): with
+        p = sum N_j t**j / D and a = u/v, p(t + a) = R(v*t) / (D * v**deg),
+        where R is sum N_j v**(deg - j) y**j shifted by the integer u."""
+        k = self.degree
+        u, v = _frac(a).as_integer_ratio()
+        D = math.lcm(*(c.denominator for c in self.coeffs))
+        r = [c.numerator * (D // c.denominator) * v ** (k - j) for j, c in enumerate(self.coeffs)]
+        for i in range(k):
+            for j in range(k - 1, i - 1, -1):
+                r[j] += u * r[j + 1]
+        return Poly([Fraction(x, D * v ** (k - j)) for j, x in enumerate(r)])
 
     def divides(self, other: "Poly") -> bool:
         if self.is_zero():
@@ -392,14 +406,31 @@ def expand_factors(unit: Fraction, factors) -> Poly:
 
 @functools.lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> Poly:
-    """The n-th cyclotomic polynomial, by exact division of t^n - 1."""
+    """The n-th cyclotomic polynomial, in integers: Phi_n(t) = Phi_r(t**(n/r))
+    for r the radical of n, and Phi_kp(t) = Phi_k(t**p)/Phi_k(t), an exact
+    division by a monic divisor, for each prime p of n (p not dividing k)."""
     if n < 1:
         raise DomainError("cyclotomic index must be positive")
-    num = Poly([-1] + [0] * (n - 1) + [1])
-    for d in range(1, n):
-        if n % d == 0:
-            num //= cyclotomic_poly(d)
-    return num
+    cs, k, rest, p = [-1, 1], 1, n, 2
+    while rest > 1:
+        if p * p > rest:
+            p = rest
+        if rest % p == 0:
+            while rest % p == 0:
+                rest //= p
+            dq = len(cs) - 1
+            num = [0] * (dq * p + 1)
+            num[::p] = cs
+            quot = [0] * (len(num) - dq)
+            for i in range(len(num) - 1, dq - 1, -1):
+                c = quot[i - dq] = num[i]
+                for j in range(dq):
+                    num[i - dq + j] -= c * cs[j]
+            cs, k = quot, k * p
+        p += 1
+    out = [0] * ((len(cs) - 1) * (n // k) + 1)
+    out[:: n // k] = cs
+    return Poly(out)
 
 
 def monomial_product(fs: Sequence[RatFunc], a: Sequence[int]) -> RatFunc:

@@ -14,15 +14,17 @@ from .curvegeom import (
     CurveData,
     NormalizedCharacter,
     Place,
-    character_restrict,
     normalize_character,
     phi_enumerate,
 )
 from .errors import DomainError, InvariantViolation
-from .exactcore import Poly, RatFunc, cyclotomic_poly, factor_key, factor_poly
+from .exactcore import Poly, cyclotomic_poly, factor_key, factor_poly, nth_power_in_Q
 from .intlattice import primitive_witness, rank
 from .multdep import factor_int, point_height, relation_lattice, root_of_unity_order
 from .parser import parse_coordinates
+
+# Budget on fiber degree: m*N in torsion_fiber, m*sum(phi(d), d <= N) in analyze.
+MAX_FIBER_DEGREE = 4096
 
 
 @dataclass(frozen=True)
@@ -67,18 +69,45 @@ def parse_curve(text: str) -> CurveData:
     return CurveData.build(parse_coordinates(text))
 
 
-def _cyclotomic_factors(curve: CurveData, phi: RatFunc, d: int) -> List[Poly]:
-    """Factors of the numerator of Phi_d(phi), in factor_poly order, whose
-    roots leave every coordinate finite and nonzero: a factor is kept iff it
-    is not a place of the curve (coordinates are reduced, and place_index is
-    the union of their supports). For phi = A/B in lowest terms that
-    numerator is sum_k c_k * A**k * B**(e - k), where Phi_d = sum_k c_k * t**k
-    has degree e."""
-    cs = cyclotomic_poly(d).coeffs
-    e = len(cs) - 1
-    g = sum((c * phi.num ** k * phi.den ** (e - k) for k, c in enumerate(cs) if c), Poly())
+def _cyclotomic_factors(curve: CurveData, ch: NormalizedCharacter, d: int) -> List[Poly]:
+    """Minimal polynomials of the t where the character ch is a primitive
+    d-th root of unity and every coordinate is finite and nonzero.
+
+    In its normal form c * s**m, s = L_P/L_Q, take the monic irreducible
+    factors h of Phi_d(c * s**m): for c = eps * b**m (b > 0, eps = +-1) the
+    monic Phi_e(b*s) over the e | m*d2 with e/gcd(e, m) = d2, the order of
+    eps * zeta_d; otherwise by factor_poly. Each h maps back to
+    L_Q**deg(h) * h(L_P/L_Q). A constant image is the root t = inf and is
+    dropped; the others are kept, monic, iff not a place of the curve.
+    """
+    m, c = ch.m, ch.c
+    b = nth_power_in_Q(abs(c), m)
+    if b is None:
+        cs = cyclotomic_poly(d).coeffs
+        sparse = [Fraction(0)] * (m * (len(cs) - 1) + 1)
+        sparse[::m] = [x * c ** k for k, x in enumerate(cs)]
+        hs = [h for h, _mult in factor_poly(Poly(sparse))[1]]
+    else:
+        d2 = d if c > 0 or d % 4 == 0 else d // 2 if d % 2 == 0 else 2 * d
+        hs = [
+            Poly([x * b ** j for j, x in enumerate(cyclotomic_poly(e).coeffs)]).monic()
+            for e in range(1, m * d2 + 1)
+            if m * d2 % e == 0 and e // math.gcd(e, m) == d2
+        ]
     places = set(curve.place_index)
-    return [q for q, _mult in factor_poly(g)[1] if Place.finite(q) not in places]
+    images = [_map_back(h, ch).monic() for h in hs]
+    return [q for q in images if q.degree > 0 and Place.finite(q) not in places]
+
+
+def _map_back(h: Poly, ch: NormalizedCharacter) -> Poly:
+    """L_Q**k * h(L_P/L_Q) for h of degree k (L_X = t - x, L_inf = 1). With
+    w = t - q, L_P/L_Q is 1 + delta/w (delta = q - p) or 1/w (P = inf), so
+    the image is sum g_j delta**j w**(k - j), g = h(1 + s) or h, in t - q."""
+    if ch.Q.is_infinity:
+        return h.shift(-ch.P.rational_root())
+    q = ch.Q.rational_root()
+    g, delta = (h, 1) if ch.P.is_infinity else (h.shift(1), q - ch.P.rational_root())
+    return Poly(reversed([x * delta ** j for j, x in enumerate(g.coeffs)])).shift(-q)
 
 
 def _order_fiber(by_divisor: Dict[int, List[Poly]], N: int) -> Tuple[Poly, ...]:
@@ -88,22 +117,37 @@ def _order_fiber(by_divisor: Dict[int, List[Poly]], N: int) -> Tuple[Poly, ...]:
     return tuple(sorted(found, key=factor_key))
 
 
+def _require_fiber_budget(m: int, orders: int) -> None:
+    if m * orders > MAX_FIBER_DEGREE:
+        raise DomainError(f"torsion fibers of total degree {m * orders} exceed {MAX_FIBER_DEGREE}")
+
+
+def _totient_sum(N: int) -> int:
+    """sum(phi(d) for d <= N), by a sieve."""
+    phi = list(range(N + 1))
+    for p in range(2, N + 1):
+        if phi[p] == p:
+            for k in range(p, N + 1, p):
+                phi[k] -= phi[k] // p
+    return sum(phi[1:])
+
+
 def torsion_fiber(curve: CurveData, a: Sequence[int], N: int) -> List[FiberPoint]:
     """Fiber of the restricted character over roots of unity of order
     dividing N, as irreducible polynomials in the curve parameter.
 
-    With phi = A/B the restricted character, the numerator of phi**N - 1 is
-    A**N - B**N, the product over d | N of the homogenized Phi_d(A, B). The
-    kept factors of each d are merged in factor_poly order; a and -a share
-    them, as 1/phi gives -(A**N - B**N). Raises what
-    CurveData.require_proper raises.
+    The restriction is c * s**m in s = L_P/L_Q, and the fiber is the union
+    over d | N of the _cyclotomic_factors of d, of total degree at most
+    m*N; those of different d have disjoint roots and are merged in
+    factor_poly order. Raises what CurveData.require_proper raises, and
+    DomainError when m*N exceeds MAX_FIBER_DEGREE.
     """
     curve.require_proper()
     if N < 1:
         raise DomainError("torsion order must be positive")
     norm = normalize_character(curve, a)  # validates the character
-    phi = character_restrict(curve, norm.a)
-    by_divisor = {d: _cyclotomic_factors(curve, phi, d) for d in range(1, N + 1) if N % d == 0}
+    _require_fiber_budget(norm.m, N)
+    by_divisor = {d: _cyclotomic_factors(curve, norm, d) for d in range(1, N + 1) if N % d == 0}
     return [
         FiberPoint(minimal_polynomial=q, character=norm.a, order=N)
         for q in _order_fiber(by_divisor, N)
@@ -328,13 +372,16 @@ def analyze(curve_text: str, config: AnalysisConfig = AnalysisConfig()) -> Repor
     phi = tuple(phi_enumerate(curve))
     # One table per +-a pair: a and -a have the same fibers.
     bound = config.torsion_order_bound
+    m = max((ch.m for ch in phi), default=0)
+    if m:
+        _require_fiber_budget(m, bound)  # sum(phi(d)) >= bound: keeps the sieve small
+        _require_fiber_budget(m, _totient_sum(bound))
     tables: Dict[Character, Dict[int, List[Poly]]] = {}
     fibers = []
     for ch in phi:
         key = max(ch.a, tuple(-x for x in ch.a))
         if key not in tables:
-            restricted = character_restrict(curve, ch.a)
-            tables[key] = {d: _cyclotomic_factors(curve, restricted, d) for d in range(1, bound + 1)}
+            tables[key] = {d: _cyclotomic_factors(curve, ch, d) for d in range(1, bound + 1)}
         for order in range(1, bound + 1):
             fibers.append((ch.a, order, _order_fiber(tables[key], order)))
     scan = tuple(scan_dependent(curve, config, phi))

@@ -12,7 +12,11 @@ factored restricted character (divisor_of) and reads c off its
 composition with a Moebius map instead of taking P, Q and m from the
 divisor matrix and c from leading coefficients. compose substitutes one
 rational function into another in sympy.Poly alone, so no oracle composes
-with the library's own arithmetic."""
+with the library's own arithmetic. power_fiber_oracle factors the numerator
+of phi**N - 1 instead of mapping cyclotomic factors of the normal form back
+through the Moebius change, and cyclotomic_poly_oracle divides t**n - 1 by
+every Phi_d instead of building Phi_n from its radical."""
+import functools
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
@@ -30,7 +34,7 @@ from torusdep.curvegeom import (
     phi_enumerate,
 )
 from torusdep.errors import DomainError, InvariantViolation, PreconditionError
-from torusdep.exactcore import Poly, RatFunc
+from torusdep.exactcore import Poly, RatFunc, factor_poly
 from torusdep.explorer import AnalysisConfig, ScanRecord
 from torusdep.intlattice import IntMatrix, LatticeBasis, content, kernel_basis, primitive_witness
 from torusdep.multdep import (
@@ -302,3 +306,26 @@ def character_oracle(curve: CurveData, a: Sequence[int]) -> NormalizedCharacter:
     return NormalizedCharacter(
         a=a, P=P, Q=Q, m=m, c=c, realizable_cyclotomic=cyclotomic_realizable(c, m)
     )
+
+
+def power_fiber_oracle(curve: CurveData, a: Sequence[int], N: int) -> List[Poly]:
+    """Factor the numerator of phi**N - 1 directly and keep the factors
+    whose roots leave every coordinate finite and nonzero."""
+    g = character_restrict(curve, a) ** N - RatFunc(Poly([1]))
+    return [
+        q
+        for q, _mult in factor_poly(g.num)[1]
+        if not any(q.divides(f.num) or q.divides(f.den) for f in curve.coords)
+    ]
+
+
+@functools.lru_cache(maxsize=None)
+def cyclotomic_poly_oracle(n: int) -> Poly:
+    """The n-th cyclotomic polynomial, by exact division of t^n - 1."""
+    if n < 1:
+        raise DomainError("cyclotomic index must be positive")
+    num = Poly([-1] + [0] * (n - 1) + [1])
+    for d in range(1, n):
+        if n % d == 0:
+            num //= cyclotomic_poly_oracle(d)
+    return num

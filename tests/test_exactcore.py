@@ -1,8 +1,10 @@
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
+from oracles import cyclotomic_poly_oracle
 
 from torusdep.errors import DomainError
 from torusdep.exactcore import (
@@ -146,6 +148,30 @@ def test_cyclotomic_poly_divides_t_n_minus_1():
         assert p.divides(tn)
         for k in range(1, n):
             assert not p.divides(T ** k - 1)
+
+
+def test_cyclotomic_poly_matches_division_oracle():
+    for n in range(1, 401):
+        assert cyclotomic_poly(n) == cyclotomic_poly_oracle(n), n
+
+
+def test_cyclotomic_poly_from_the_radical_is_fast():
+    cyclotomic_poly.cache_clear()
+    start = time.perf_counter()
+    p = cyclotomic_poly(2880)  # 2**6 * 3**2 * 5: Phi_30(t**96)
+    assert time.perf_counter() - start < 0.1
+    assert p.degree == 768 and p(F(1)) == 1
+
+
+def test_shift_is_composition_with_t_plus_a():
+    rng = random.Random(5)
+    for _ in range(200):
+        p = Poly([F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(rng.randint(0, 7))])
+        a = F(rng.randint(-7, 7), rng.randint(1, 4))
+        composed = Poly()
+        for c in reversed(p.coeffs):
+            composed = composed * (T + a) + c
+        assert p.shift(a) == composed, (p, a)
 
 
 def test_monomial_product_examples():

@@ -1,0 +1,36 @@
+"""The analyze report bytes on the benchmark curves match the committed
+benchmark references: the SHA-256 prefix of each `torusdep analyze`
+output equals the digest of its operation in bench/reference.json. Both
+bench files are read, never written."""
+import ast
+import contextlib
+import hashlib
+import io
+import json
+from pathlib import Path
+
+from torusdep.cli import main
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _analyze_curves():
+    """ANALYZE_CURVES as written in bench/workloads.py, read without
+    importing the benchmark."""
+    tree = ast.parse((BENCH / "workloads.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["ANALYZE_CURVES"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/workloads.py defines no ANALYZE_CURVES")
+
+
+def test_analyze_bytes_match_benchmark_references():
+    reference = json.loads((BENCH / "reference.json").read_text())["workloads"]["analyze"]["ops"]
+    curves = _analyze_curves()
+    assert len(curves) == len(reference)
+    for curve, expected in zip(curves, reference):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["analyze", "--curve", curve]) == 0
+        digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+        assert digest[: len(expected)] == expected, curve

@@ -8,10 +8,12 @@ import time
 import pytest
 
 import torusdep.curvegeom as curvegeom
+import torusdep.explorer as explorer
 from torusdep.cli import main
 from torusdep.curvegeom import phi_enumerate
 from torusdep.errors import (
     AssumptionViolation,
+    DomainError,
     ImproperParametrization,
     ParseError,
     PreconditionError,
@@ -111,6 +113,16 @@ class TestExitCodes:
         assert main(["fiber", "--curve", "(t-1)^3; t", "--char", "1,0", "--order", "0"]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_unbudgeted_torsion_orders_exit_2_at_once(self, capsys):
+        start = time.perf_counter()
+        for argv in (
+            ["analyze", "--curve", "(t-1)^2; t", "--torsion-order", "100000", "--scan-height", "1"],
+            ["fiber", "--curve", "(t-1)^2; t", "--char", "0,1", "--order", "1000000000000"],
+        ):
+            assert main(argv) == 2
+            assert capsys.readouterr().err.startswith("error:")
+        assert time.perf_counter() - start < 2
+
     def test_long_literal_exits_2(self, capsys):
         assert main(["check", "--curve", "9" * 5000 + "*t; t"]) == 2
         assert capsys.readouterr().err.startswith("parse error:")
@@ -173,6 +185,24 @@ class TestParserBudgets:
         assert exc.value.position == len(f"((2^{MAX_COEFF_BITS // 2})^")
         with pytest.raises(ParseError):
             parse_expression("((t^16)^16)^16")
+
+
+def test_fiber_degree_budget_bounds(monkeypatch):
+    curve = parse_curve("(t-1)^2; t")  # characters of m = 1 and 2
+    monkeypatch.setattr(explorer, "MAX_FIBER_DEGREE", 12)
+    assert torsion_fiber(curve, (1, 0), 6)  # m*N = 12
+    with pytest.raises(DomainError):
+        torsion_fiber(curve, (1, 0), 7)
+    assert analyze("(t-1)^2; t", AnalysisConfig(4, 1)).fibers  # 2*(1+1+2+2) = 12
+    with pytest.raises(DomainError):  # 2*5 is in, 2*(1+1+2+2+4) is not
+        analyze("(t-1)^2; t", AnalysisConfig(5, 1))
+
+
+def test_dense_curves_fit_the_fiber_budget(capsys):
+    start = time.perf_counter()
+    assert main(["analyze", "--curve", "(t+1)^60; t", "--scan-height", "5"]) == 0  # 60*46
+    assert time.perf_counter() - start < 10
+    assert main(["fiber", "--curve", "(t+1)^120; t", "--char", "1,-120", "--order", "12"]) == 0
 
 
 def test_expression_degree_budget():
