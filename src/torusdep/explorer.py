@@ -7,7 +7,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .curvegeom import (
     Character,
@@ -20,11 +20,19 @@ from .curvegeom import (
 from .errors import DomainError, InvariantViolation
 from .exactcore import Poly, cyclotomic_poly, factor_key, factor_poly, nth_power_in_Q
 from .intlattice import primitive_witness, rank
-from .multdep import factor_int, point_height, relation_lattice, root_of_unity_order
+from .multdep import (
+    independent_over_coprime_base,
+    point_height,
+    relation_lattice,
+    root_of_unity_order,
+)
 from .parser import parse_coordinates
 
 # Budget on fiber degree: m*N in torsion_fiber, m*sum(phi(d), d <= N) in analyze.
 MAX_FIBER_DEGREE = 4096
+# Budget on the degree m*phi(d) of Phi_d(c * s**m) when c is not +-b**m and
+# factor_poly must factor it.
+MAX_FALLBACK_DEGREE = 64
 
 
 @dataclass(frozen=True)
@@ -76,7 +84,8 @@ def _cyclotomic_factors(curve: CurveData, ch: NormalizedCharacter, d: int) -> Li
     In its normal form c * s**m, s = L_P/L_Q, take the monic irreducible
     factors h of Phi_d(c * s**m): for c = eps * b**m (b > 0, eps = +-1) the
     monic Phi_e(b*s) over the e | m*d2 with e/gcd(e, m) = d2, the order of
-    eps * zeta_d; otherwise by factor_poly. Each h maps back to
+    eps * zeta_d; otherwise by factor_poly, or DomainError when the degree
+    m*phi(d) exceeds MAX_FALLBACK_DEGREE. Each h maps back to
     L_Q**deg(h) * h(L_P/L_Q). A constant image is the root t = inf and is
     dropped; the others are kept, monic, iff not a place of the curve.
     """
@@ -84,7 +93,10 @@ def _cyclotomic_factors(curve: CurveData, ch: NormalizedCharacter, d: int) -> Li
     b = nth_power_in_Q(abs(c), m)
     if b is None:
         cs = cyclotomic_poly(d).coeffs
-        sparse = [Fraction(0)] * (m * (len(cs) - 1) + 1)
+        degree = m * (len(cs) - 1)
+        if degree > MAX_FALLBACK_DEGREE:
+            raise DomainError(f"a fiber to factor of degree {degree} exceeds {MAX_FALLBACK_DEGREE}")
+        sparse = [Fraction(0)] * (degree + 1)
         sparse[::m] = [x * c ** k for k, x in enumerate(cs)]
         hs = [h for h, _mult in factor_poly(Poly(sparse))[1]]
     else:
@@ -140,7 +152,8 @@ def torsion_fiber(curve: CurveData, a: Sequence[int], N: int) -> List[FiberPoint
     over d | N of the _cyclotomic_factors of d, of total degree at most
     m*N; those of different d have disjoint roots and are merged in
     factor_poly order. Raises what CurveData.require_proper raises, and
-    DomainError when m*N exceeds MAX_FIBER_DEGREE.
+    DomainError when m*N exceeds MAX_FIBER_DEGREE or a polynomial to
+    factor exceeds MAX_FALLBACK_DEGREE.
     """
     curve.require_proper()
     if N < 1:
@@ -181,56 +194,24 @@ def _place_forms(curve: CurveData) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[F
     return tuple(forms), tuple(consts)
 
 
-def scan_dependent(
-    curve: CurveData,
-    config: AnalysisConfig,
-    characters: Optional[Sequence[NormalizedCharacter]] = None,
-) -> List[ScanRecord]:
-    """Scan rational parameters t0 = p/q with max(|p|, q) <= H for dependent
-    points, classifying each as a torsion-fiber point of an enumerated
-    character or as exceptional. Deterministic: sorted by (height,
-    parameter). Raises what CurveData.require_proper raises.
+def _private_survivors(
+    curve: CurveData, forms: Sequence[Tuple[int, ...]], consts: Sequence[Fraction], H: int
+) -> Iterator[Tuple[int, int, List[int]]]:
+    """The coprime (p, q) with max(|p|, q) <= H and no finite F_P(p, q) = 0
+    that the private-part filter keeps, each with its values
+    v_P = |F_P(p, q)| (forms and consts from _place_forms).
 
-    Each parameter is tested from the divisor matrix D, never by evaluating
-    the coordinates: x_i(p/q) = c_i * prod_P F_P(p, q)**D[P, i] with the
-    integer place forms F_P of _place_forms. A parameter is skipped iff some
-    finite F_P(p, q) is 0, which is exactly when some coordinate has a pole
-    or a zero there: coordinates are reduced and place_index is the union of
-    their supports. Otherwise the prime-exponent vector of |x_i| is
-    e(c_i) + sum_P D[P, i] * e(F_P(p, q)), factoring each value once per
-    scan, and the point is dependent iff these n vectors have rank < n (a
-    relation among the |x_i| doubles to one among the x_i). Only dependent
-    parameters are evaluated and passed to relation_lattice; a zero lattice
-    there means the two routes disagree and raises InvariantViolation.
+    The private part r_P is v_P stripped, by repeated gcd, of every prime
+    it shares with C * prod_{Q != P} v_Q, C = prod_i |num c_i| * den c_i.
+    A prime l dividing r_P divides no c_i and no other value, so
+    v_l(x_i) = D[P, i] * v_l(v_P): the prime-exponent matrix of the x_i
+    holds a nonzero multiple of the row D[P, .]. The point is therefore
+    independent, and the parameter dropped, when the rows of D of the
+    places with r_P > 1 have rank n; that rank is kept per set of places.
     """
-    curve.require_proper()
-    if characters is None:
-        characters = phi_enumerate(curve)
-    # Prefer the positively oriented member of each +- pair when classifying.
-    ordered = sorted(
-        characters,
-        key=lambda ch: (next((x for x in ch.a if x), 0) < 0, ch.a),
-    )
-    n = curve.n
-    forms, consts = _place_forms(curve)
-    # per place (row of D): the coordinates with a nonzero multiplicity there
-    columns = [[(i, m) for i, m in enumerate(row) if m] for row in curve.divisor_matrix.entries]
-    factors: Dict[int, Dict[int, int]] = {}
-
-    def factored(v: int) -> Dict[int, int]:
-        f = factors.get(v)
-        if f is None:
-            f = factors[v] = factor_int(v)
-        return f
-
-    base = []
-    for c in consts:
-        e = dict(factored(abs(c.numerator)))
-        for p, k in factored(c.denominator).items():
-            e[p] = e.get(p, 0) - k
-        base.append(e)
-    H = config.scan_height_bound
-    records = []
+    rows = curve.divisor_matrix.entries
+    C = math.prod(abs(c.numerator) * c.denominator for c in consts)
+    full_rank: Dict[int, bool] = {}
     for q in range(1, H + 1):
         # coefficients from the top, the k-th times q**k: Horner in p alone
         scaled = [[a * q ** k for k, a in enumerate(reversed(f))] for f in forms]
@@ -242,45 +223,95 @@ def scan_dependent(
                 acc = 0
                 for a in b:
                     acc = acc * p + a
-                values.append(acc)
+                values.append(abs(acc))
             if 0 in values:  # only a finite place can vanish: F at infinity is q >= 1
                 continue
-            exps = [dict(e) for e in base]
-            for v, cols in zip(values, columns):
-                fv = factored(abs(v))
-                for i, m in cols:
-                    ei = exps[i]
-                    for prime, k in fv.items():
-                        ei[prime] = ei.get(prime, 0) + m * k
-            primes = {prime for e in exps for prime, k in e.items() if k}
-            if rank([[e.get(prime, 0) for prime in primes] for e in exps]) == n:
-                continue
-            t0 = Fraction(p, q)
-            point = tuple(f(t0) for f in curve.coords)
-            lattice = relation_lattice(point)
-            if lattice.is_zero():
-                raise InvariantViolation(f"rank test and relation lattice disagree at t = {t0}")
-            witness = primitive_witness(lattice)
-            relation = witness if witness is not None else lattice.vectors[0]
-            fiber_char = None
-            for ch in ordered:
-                value = Fraction(1)
-                for x, e in zip(point, ch.a):
-                    value *= x ** e
-                if root_of_unity_order(value) is not None:
-                    fiber_char = ch.a
-                    break
-            records.append(
-                ScanRecord(
-                    parameter=t0,
-                    point=point,
-                    dependent=True,
-                    primitive=witness is not None,
-                    relation=relation,
-                    height=point_height(point),
-                    fiber_character=fiber_char,
-                )
+            total = C * math.prod(values)
+            mask = 0
+            for k, v in enumerate(values):
+                g = math.gcd(v, total // v)
+                while g > 1:
+                    v //= g
+                    g = math.gcd(v, g)
+                if v > 1:
+                    mask |= 1 << k
+            if mask not in full_rank:
+                full_rank[mask] = rank([r for k, r in enumerate(rows) if mask >> k & 1]) == curve.n
+            if not full_rank[mask]:
+                yield p, q, values
+
+
+def scan_dependent(
+    curve: CurveData,
+    config: AnalysisConfig,
+    characters: Optional[Sequence[NormalizedCharacter]] = None,
+) -> List[ScanRecord]:
+    """Scan rational parameters t0 = p/q with max(|p|, q) <= H for dependent
+    points, classifying each as a torsion-fiber point of an enumerated
+    character or as exceptional. Deterministic: sorted by (height,
+    parameter). Raises what CurveData.require_proper raises.
+
+    Each parameter is tested from the divisor matrix D, never by evaluating
+    the coordinates and never by factoring:
+    x_i(p/q) = c_i * prod_P F_P(p, q)**D[P, i] with the integer place forms
+    F_P of _place_forms. A parameter is skipped iff some finite F_P(p, q) is
+    0, which is exactly when some coordinate has a pole or a zero there:
+    coordinates are reduced and place_index is the union of their supports.
+    _private_survivors then drops the parameters whose private place values
+    prove independence. For the rest, the point is dependent iff the |x_i|
+    are dependent, which multdep.independent_over_coprime_base decides from
+    the c_i and the values by gcds alone (a relation among the |x_i| doubles
+    to one among the x_i). Only dependent parameters are evaluated and
+    passed to relation_lattice; a zero lattice there means the two routes
+    disagree and raises InvariantViolation.
+    """
+    curve.require_proper()
+    if characters is None:
+        characters = phi_enumerate(curve)
+    # Prefer the positively oriented member of each +- pair when classifying.
+    ordered = sorted(
+        characters,
+        key=lambda ch: (next((x for x in ch.a if x), 0) < 0, ch.a),
+    )
+    forms, consts = _place_forms(curve)
+    rows = curve.divisor_matrix.entries
+    # per coordinate: |c_i| as (integer, exponent) pairs, and its places
+    constants = [[(abs(c.numerator), 1), (c.denominator, -1)] for c in consts]
+    supports = [[(k, row[i]) for k, row in enumerate(rows) if row[i]] for i in range(curve.n)]
+    records = []
+    for p, q, values in _private_survivors(curve, forms, consts, config.scan_height_bound):
+        products = [
+            const + [(values[k], m) for k, m in support]
+            for const, support in zip(constants, supports)
+        ]
+        if independent_over_coprime_base(products):
+            continue
+        t0 = Fraction(p, q)
+        point = tuple(f(t0) for f in curve.coords)
+        lattice = relation_lattice(point)
+        if lattice.is_zero():
+            raise InvariantViolation(f"rank test and relation lattice disagree at t = {t0}")
+        witness = primitive_witness(lattice)
+        relation = witness if witness is not None else lattice.vectors[0]
+        fiber_char = None
+        for ch in ordered:
+            value = Fraction(1)
+            for x, e in zip(point, ch.a):
+                value *= x ** e
+            if root_of_unity_order(value) is not None:
+                fiber_char = ch.a
+                break
+        records.append(
+            ScanRecord(
+                parameter=t0,
+                point=point,
+                dependent=True,
+                primitive=witness is not None,
+                relation=relation,
+                height=point_height(point),
+                fiber_character=fiber_char,
             )
+        )
     records.sort(key=lambda r: (r.height, r.parameter))
     return records
 

@@ -202,38 +202,41 @@ def coprime_base(values: Iterable[int]) -> List[int]:
     return sorted(base)
 
 
-def _independent_over_coprime_base(pt: PointQ) -> bool:
-    """Whether the |x_i| have exponent vectors of rank n over the coprime
-    base of their numerators and denominators. Pairwise coprime integers
-    > 1 are multiplicatively independent, so this rank is the rank over
-    the primes, and rank n means no relation among the |x_i|, hence none
-    among the x_i (a relation among the x_i would square to one among the
-    |x_i|)."""
-    base = coprime_base(v for x in pt for v in (abs(x.numerator), x.denominator))
+def independent_over_coprime_base(products: Sequence[Sequence[Tuple[int, int]]]) -> bool:
+    """Whether the positive rationals prod(v ** k for v, k in product), one
+    per product, are multiplicatively independent (every v a positive
+    integer). Their exponent vectors over the coprime base of all the v
+    have rank len(products) iff so: pairwise coprime integers > 1 are
+    multiplicatively independent, so this rank is the rank over the
+    primes. No factoring."""
+    base = coprime_base(v for product in products for v, _ in product)
     rows = []
-    for x in pt:
-        num, den = abs(x.numerator), x.denominator
-        row = []
-        for b in base:
-            num, e = _strip(num, b)
-            den, f = _strip(den, b)
-            row.append(e - f)
+    for product in products:
+        row = [0] * len(base)
+        for v, k in product:
+            for j, b in enumerate(base):
+                if v == 1:
+                    break
+                if v % b == 0:
+                    v, e = _strip(v, b)
+                    row[j] += k * e
         rows.append(row)
-    return rank(rows) == len(pt)
+    return rank(rows) == len(products)
 
 
 def relation_lattice(P: Sequence[Fraction]) -> LatticeBasis:
     """Basis of {a in Z^n : prod(P[i] ** a[i]) == 1}.
 
-    A point whose exponent vectors over a coprime base have full rank is
-    independent and gets the zero lattice without any prime factoring.
+    A point whose |x_i| independent_over_coprime_base finds independent
+    gets the zero lattice without any prime factoring (a relation among
+    the x_i would square to one among the |x_i|).
     Otherwise the kernel of the prime-exponent matrix handles absolute
     values; the sign condition is a parity functional on that kernel,
     cutting out a sublattice of index at most 2.
     """
     pt = _check_point(P)
     n = len(pt)
-    if _independent_over_coprime_base(pt):
+    if independent_over_coprime_base([((abs(x.numerator), 1), (x.denominator, -1)) for x in pt]):
         return LatticeBasis(n, ())
     primes, facs = _prime_exponent_matrix(pt)
     exps = [dict(f.exponents) for f in facs]

@@ -1,6 +1,9 @@
-"""The height scan tests dependence by rank from integer place forms and
+"""The height scan tests dependence from integer place forms, without
+factoring: a private-part filter, then a rank over a coprime base. It
 builds relation lattices only for dependent parameters; scan_oracle builds
 one at every parameter. The two must give identical records."""
+import json
+import math
 import random
 from fractions import Fraction as F
 
@@ -8,16 +11,31 @@ import pytest
 
 from oracles import scan_oracle
 from torusdep import explorer
+from torusdep.cli import main
 from torusdep.curvegeom import CurveData
 from torusdep.errors import InvariantViolation
 from torusdep.exactcore import Poly, RatFunc
-from torusdep.explorer import AnalysisConfig, _place_forms, parse_curve, scan_dependent
+from torusdep.explorer import (
+    AnalysisConfig,
+    _place_forms,
+    _private_survivors,
+    parse_curve,
+    scan_dependent,
+)
 from torusdep.intlattice import LatticeBasis
 from torusdep.multdep import relation_lattice
 
 BENCH_CURVES = ["(t-1)^2; t", "(t-1)^3; t", "2*t/(t+1); t^(-2)", "t*(t+1); (t-2)/(t+3); t-5"]
 NO_INFINITY = "(t+1)/(t-1); (2*t+3)/(t-5)"
 QUADRATIC_PLACE = "t^2*(t+1)/(t-3); (3*t^2+1)/(t+5)^2; 7*t"
+# (curve, H, a place it has): places t - 6, t, t + 6 whose values share
+# primes (pairwise resultants 6, 6 and 12); a place of degree 3; place
+# values of about 100 bits, past the integer factoring budget
+MORE_CURVES = [
+    ("t*(t+6); 3*(t-6)/t", 30, "t + 6"),
+    ("(t^3+2)/(t+1); t-1", 30, "t^3 + 2"),
+    ("t^25+7; t", 20, "t^25 + 7"),
+]
 
 
 def _same_scan(curve, H):
@@ -44,6 +62,67 @@ def test_quadratic_place_and_nonunit_constants():
     _forms, consts = _place_forms(curve)
     assert any(abs(c) != 1 for c in consts)
     assert _same_scan(curve, 30)
+
+
+@pytest.mark.parametrize("text, H, place", MORE_CURVES)
+def test_more_curves_match_oracle(text, H, place):
+    curve = parse_curve(text)
+    assert curve.degree == 1 and curve.violation is None
+    assert place in {str(p) for p in curve.place_index}
+    assert _same_scan(curve, H)
+
+
+def test_large_place_values_need_no_factoring(capsys):
+    args = ["analyze", "--curve", "t^25+7; t", "--torsion-order", "1", "--scan-height", "20"]
+    assert main(args) == 0
+    scan = json.loads(capsys.readouterr().out)["scan"]
+    assert [r["t"] for r in scan] == ["-1", "1"]
+
+
+def _swept(curve, H):
+    """Every coprime (p, q) with max(|p|, q) <= H, and the point there (None
+    where a coordinate has a zero or a pole)."""
+    for q in range(1, H + 1):
+        for p in range(-H, H + 1):
+            if math.gcd(p, q) == 1:
+                try:
+                    point = tuple(f(F(p, q)) for f in curve.coords)
+                except ZeroDivisionError:
+                    point = None
+                if point is not None and 0 in point:
+                    point = None
+                yield p, q, point
+
+
+def _survivors(curve, H):
+    forms, consts = _place_forms(curve)
+    return [(p, q) for p, q, _values in _private_survivors(curve, forms, consts, H)]
+
+
+@pytest.mark.parametrize("text", BENCH_CURVES + [NO_INFINITY, QUADRATIC_PLACE])
+def test_private_filter_rejects_only_independent_points(text):
+    curve = parse_curve(text)
+    H = 20
+    kept = set(_survivors(curve, H))
+    rejected = 0
+    for p, q, point in _swept(curve, H):
+        if point is None:
+            assert (p, q) not in kept
+        elif (p, q) not in kept:
+            assert relation_lattice(point).is_zero(), (p, q)
+            rejected += 1
+    assert rejected > len(kept)
+
+
+def test_private_filter_keeps_few_parameters():
+    H = 50
+    swept = kept = 0
+    for text in BENCH_CURVES:
+        curve = parse_curve(text)
+        swept += sum(1 for _ in _swept(curve, H))
+        kept += len(_survivors(curve, H))
+    assert swept == 4 * 3095
+    assert kept <= 0.05 * swept
 
 
 def _random_proper_curves(count, seed):

@@ -198,6 +198,26 @@ def test_fiber_degree_budget_bounds(monkeypatch):
         analyze("(t-1)^2; t", AnalysisConfig(5, 1))
 
 
+def test_fallback_degree_budget_bounds(monkeypatch):
+    fallback = parse_curve("2*(t-1)^2; t")  # (1, 0) has m = 2 and c = 2
+    monkeypatch.setattr(explorer, "MAX_FALLBACK_DEGREE", 2)
+    assert torsion_fiber(fallback, (1, 0), 2)  # 2*phi(1) = 2*phi(2) = 2
+    with pytest.raises(DomainError):
+        torsion_fiber(fallback, (1, 0), 3)  # 2*phi(3) = 4
+    assert torsion_fiber(fallback, (0, 1), 12)  # c = 1 never factors
+    assert torsion_fiber(parse_curve("(t-1)^2; t"), (1, 0), 12)
+    assert analyze("2*(t-1)^2; t", AnalysisConfig(2, 1)).fibers
+    with pytest.raises(DomainError):
+        analyze("2*(t-1)^2; t", AnalysisConfig(3, 1))
+
+
+def test_large_fallback_is_refused_before_factoring(capsys):
+    start = time.perf_counter()
+    assert main(["fiber", "--curve", "2*(t+1)^60; t", "--char", "1,0", "--order", "11"]) == 2
+    assert time.perf_counter() - start < 5  # 60*phi(11) = 600: factoring it takes 20 s or more
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_dense_curves_fit_the_fiber_budget(capsys):
     start = time.perf_counter()
     assert main(["analyze", "--curve", "(t+1)^60; t", "--scan-height", "5"]) == 0  # 60*46
