@@ -4,8 +4,9 @@ coordinates, and Weil heights.
 
 Points have nonzero rational coordinates; the only torsion in Q* is the
 sign, which is handled as a parity functional on the relation kernel.
-Integers are factored by factor_int; sympy there only certifies primes and
-takes exact integer roots.
+Integers are factored by factor_int. sympy here only builds the table of
+primes below 2^12 at import, certifies primes (isprime) and takes exact
+integer roots (integer_nthroot).
 """
 from __future__ import annotations
 
@@ -20,7 +21,6 @@ from .errors import DomainError
 from .intlattice import (
     IntMatrix,
     LatticeBasis,
-    express_in_basis,
     hnf,
     kernel_basis,
     primitive_witness,
@@ -104,8 +104,13 @@ def _strip(n: int, p: int) -> Tuple[int, int]:
 
 def _perfect_power(m: int) -> Tuple[int, int]:
     """(r, k) with r ** k == m for the least prime k that has one, else
-    (m, 1); m has no prime factor below 2^12, so k <= log(m) / log(2^12)."""
-    for k in sympy.primerange(2, m.bit_length() // 12 + 1):
+    (m, 1); m has no prime factor below 2^12, so k <= log(m) / log(2^12).
+    _SMALL_PRIMES holds every such k for m below 2^49152; above that,
+    rho's exact splits handle a power of a larger prime exponent."""
+    limit = m.bit_length() // 12
+    for k in _SMALL_PRIMES:
+        if k > limit:
+            break
         r, exact = sympy.integer_nthroot(m, k)
         if exact:
             return int(r), k
@@ -116,8 +121,10 @@ def _brent_rho(n: int, steps: int) -> Tuple[int, int]:
     """A proper divisor of the odd composite n, and the rho step count so
     far (carried over the splits of one factor_int call): Brent's cycle
     search on y -> y^2 + c mod n with the gcds batched over _RHO_BATCH
-    steps. Retracing an overshot batch, at most _RHO_BATCH steps, is not
-    counted."""
+    steps. Each loop iteration takes four steps and reduces their product
+    of differences mod n once, so q mod n at every gcd is that of one step
+    at a time. Retracing an overshot batch, at most _RHO_BATCH steps, is
+    not counted."""
     c = 0
     while True:
         c += 1
@@ -125,14 +132,25 @@ def _brent_rho(n: int, steps: int) -> Tuple[int, int]:
         while g == 1:
             x = y
             steps = _spend(steps, r, n)
-            for _ in range(r):
+            for _ in range(r >> 2):
+                y = (y * y + c) % n
+                y = (y * y + c) % n
+                y = (y * y + c) % n
+                y = (y * y + c) % n
+            for _ in range(r & 3):
                 y = (y * y + c) % n
             k = 0
             while k < r and g == 1:
                 ys = y
                 batch = min(_RHO_BATCH, r - k)
                 steps = _spend(steps, batch, n)
-                for _ in range(batch):
+                for _ in range(batch >> 2):
+                    y1 = (y * y + c) % n
+                    y2 = (y1 * y1 + c) % n
+                    y3 = (y2 * y2 + c) % n
+                    y = (y3 * y3 + c) % n
+                    q = q * (x - y1) * (x - y2) * (x - y3) * (x - y) % n
+                for _ in range(batch & 3):
                     y = (y * y + c) % n
                     q = q * (x - y) % n
                 g = math.gcd(q, n)
@@ -294,32 +312,34 @@ class Decomposition:
 
 
 def decompose(P: Sequence[Fraction]) -> Decomposition:
-    """Torsion/free decomposition of the group generated by the coordinates."""
-    pt = _check_point(P)
-    n = len(pt)
-    primes, facs = _prime_exponent_matrix(pt)
+    """Torsion/free decomposition of the group generated by the coordinates.
+
+    The generators are the nonzero rows of the HNF of the prime-exponent
+    matrix, and each coordinate's exponent row comes from back-substitution
+    against those rows at their pivot columns.
+    """
+    primes, facs = _prime_exponent_matrix(_check_point(P))
     exps = [dict(f.exponents) for f in facs]
-    if not primes:
-        return Decomposition(
-            signs=tuple(f.sign for f in facs),
-            generators=(),
-            exponents=IntMatrix([[] for _ in range(n)]),
-        )
-    A = [[exps[i].get(p, 0) for p in primes] for i in range(n)]
+    A = [[e.get(p, 0) for p in primes] for e in exps]
     h, _ = hnf(IntMatrix(A))
     gen_rows = [row for row in h.entries if any(row)]
-    basis = LatticeBasis(len(primes), tuple(gen_rows))
+    pivots = [next(j for j, x in enumerate(row) if x) for row in gen_rows]
     generators = []
     for row in gen_rows:
-        g = Fraction(1)
-        for p, e in zip(primes, row):
-            g *= Fraction(p) ** e
-        generators.append(g)
+        num = math.prod(p ** e for p, e in zip(primes, row) if e > 0)
+        den = math.prod(p ** -e for p, e in zip(primes, row) if e < 0)
+        generators.append(Fraction(num, den))
     exp_rows = []
-    for i in range(n):
-        coords = express_in_basis(A[i], basis)
-        assert coords is not None  # rows lie in their own HNF row space
-        exp_rows.append(list(coords))
+    for residual in A:
+        coords = []
+        for row, col in zip(gen_rows, pivots):
+            q, rem = divmod(residual[col], row[col])
+            assert rem == 0  # rows lie in their own HNF row space
+            coords.append(q)
+            if q:
+                residual = [a - q * b for a, b in zip(residual, row)]
+        assert not any(residual)
+        exp_rows.append(coords)
     return Decomposition(
         signs=tuple(f.sign for f in facs),
         generators=tuple(generators),

@@ -14,8 +14,11 @@ divisor matrix and c from leading coefficients. compose substitutes one
 rational function into another in sympy.Poly alone, so no oracle composes
 with the library's own arithmetic. power_fiber_oracle factors the numerator
 of phi**N - 1 instead of mapping cyclotomic factors of the normal form back
-through the Moebius change, and cyclotomic_poly_oracle divides t**n - 1 by
-every Phi_d instead of building Phi_n from its radical."""
+through the Moebius change, cyclotomic_poly_oracle divides t**n - 1 by
+every Phi_d instead of building Phi_n from its radical, and
+decompose_oracle solves each coordinate's exponent row with
+express_in_basis (its own HNF and transform) over the sympy-factored prime
+matrix instead of back-substituting against decompose's HNF."""
 import functools
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
@@ -36,8 +39,17 @@ from torusdep.curvegeom import (
 from torusdep.errors import DomainError, InvariantViolation, PreconditionError
 from torusdep.exactcore import Poly, RatFunc, factor_poly
 from torusdep.explorer import AnalysisConfig, ScanRecord
-from torusdep.intlattice import IntMatrix, LatticeBasis, content, kernel_basis, primitive_witness
+from torusdep.intlattice import (
+    IntMatrix,
+    LatticeBasis,
+    content,
+    express_in_basis,
+    hnf,
+    kernel_basis,
+    primitive_witness,
+)
 from torusdep.multdep import (
+    Decomposition,
     FactoredRational,
     Vector,
     _check_point,
@@ -211,6 +223,35 @@ def relation_oracle(P: Sequence[Fraction]) -> LatticeBasis:
             vecs[i] = tuple(x - y for x, y in zip(vecs[i], vecs[pivot]))
         vecs[pivot] = tuple(2 * x for x in vecs[pivot])
     return LatticeBasis(n, tuple(vecs))
+
+
+def decompose_oracle(P: Sequence[Fraction]) -> Decomposition:
+    """The torsion/free decomposition the general route gives: factor every
+    coordinate with sympy.factorint, take the HNF of the prime-exponent
+    matrix, whose nonzero rows are the generators, and express each
+    coordinate's row in that basis with express_in_basis. Test use only."""
+    pt = _check_point(P)
+    facs = [_sympy_factor_rational(x) for x in pt]
+    signs = tuple(f.sign for f in facs)
+    primes = sorted({p for f in facs for p, _ in f.exponents})
+    if not primes:
+        return Decomposition(signs, (), IntMatrix([[] for _ in pt]))
+    exps = [dict(f.exponents) for f in facs]
+    A = [[e.get(p, 0) for p in primes] for e in exps]
+    h, _ = hnf(IntMatrix(A))
+    basis = LatticeBasis(len(primes), tuple(row for row in h.entries if any(row)))
+    generators = []
+    for row in basis.vectors:
+        g = Fraction(1)
+        for p, e in zip(primes, row):
+            g *= Fraction(p) ** e
+        generators.append(g)
+    exp_rows = []
+    for row in A:
+        coords = express_in_basis(row, basis)
+        assert coords is not None
+        exp_rows.append(coords)
+    return Decomposition(signs, tuple(generators), IntMatrix(exp_rows))
 
 
 def map_degree_oracle(curve: CurveData) -> int:

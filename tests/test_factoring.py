@@ -1,6 +1,7 @@
 """Integer factoring by factor_int (small-prime gcd, Brent rho, a step
-budget) against sympy.factorint; the coprime base; and the rank-first
-relation lattice against relation_oracle, the prime route alone."""
+budget) against sympy.factorint, and the rho steps it charges; the coprime
+base; the rank-first relation lattice against relation_oracle, the prime
+route alone; and decompose against decompose_oracle."""
 import importlib.util
 import math
 import random
@@ -14,12 +15,13 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import relation_oracle
+from oracles import decompose_oracle, relation_oracle
 from torusdep import multdep
 from torusdep.cli import main
 from torusdep.errors import DomainError
 from torusdep.multdep import (
     coprime_base,
+    decompose,
     factor_int,
     factor_rational,
     is_primitively_dependent,
@@ -76,6 +78,61 @@ def test_seeded_values_up_to_22_digits():
 @given(st.integers(min_value=1, max_value=10 ** 18))
 def test_property_matches_sympy(n):
     _same_as_sympy(n)
+
+
+def _spy_on_spend(monkeypatch):
+    spent = []
+    real = multdep._spend
+    monkeypatch.setattr(multdep, "_spend", lambda steps, k, n: spent.append(k) or real(steps, k, n))
+    return spent
+
+
+def test_semiprimes_across_the_rho_bands(monkeypatch):
+    spent = _spy_on_spend(monkeypatch)
+    rng = random.Random(12)
+    for b in range(12, 28):  # the smaller prime lies in [2^b, 2^(b+1))
+        p = sympy.nextprime(rng.randrange(1 << b, 1 << (b + 1)))
+        q = sympy.nextprime(rng.randrange(p, 1 << (b + 14)))
+        _same_as_sympy(p * q)
+    # _spend calls and steps charged, as the one-step-per-iteration loop
+    # charged them
+    assert (len(spent), sum(spent)) == (554, 108256)
+
+
+def test_just_above_2_24_from_two_primes_just_above_2_12():
+    # rho's first rounds take r = 1 and 2 steps, fewer than one four-step
+    # iteration, so these splits lean on the remainder loop
+    primes = [4099, 4111, 4127, 4129, 4133]
+    for i, p in enumerate(primes):
+        for q in primes[i:]:
+            assert p * q > 1 << 24
+            _same_as_sympy(p * q)
+
+
+# (n, _spend calls, steps charged) for factor_int(n), as charged by the loop
+# that takes one rho step per iteration
+RHO_CHARGES = [
+    (4099 * 4111, 12, 126),
+    (1000003 * 1000000007, 26, 3198),
+    (134217757 * 1099511627791, 211, 57086),
+]
+
+
+def test_rho_steps_charged_are_pinned(monkeypatch):
+    spent = _spy_on_spend(monkeypatch)
+    for n, calls, steps in RHO_CHARGES:
+        spent.clear()
+        assert len(factor_int(n)) == 2
+        assert (len(spent), sum(spent)) == (calls, steps)
+
+
+@pytest.mark.parametrize("n, calls, steps", RHO_CHARGES)
+def test_budget_bites_at_the_pinned_step_count(monkeypatch, n, calls, steps):
+    monkeypatch.setattr(multdep, "MAX_RHO_STEPS", steps)
+    assert len(factor_int(n)) == 2
+    monkeypatch.setattr(multdep, "MAX_RHO_STEPS", steps - 1)
+    with pytest.raises(DomainError, match="integer factoring budget exceeded"):
+        factor_int(n)
 
 
 def test_perfect_power_of_a_large_prime_needs_no_rho(monkeypatch):
@@ -212,3 +269,42 @@ def test_huge_decompose_hits_the_budget(capsys):
     assert main(["decompose", "--point", f"{HUGE},2"]) == 2
     assert time.perf_counter() - start < 10.0
     assert capsys.readouterr().err.startswith("error:")
+
+
+# ---------------------------------------------------------------------------
+# decompose against the general route
+
+
+def _same_decomposition(point):
+    d, o = decompose(point), decompose_oracle(point)
+    assert d.signs == o.signs
+    assert d.generators == o.generators
+    assert d.exponents == o.exponents
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_benchmark_points_decompose_like_oracle(seed):
+    for point, _ in _make_points(seed):
+        _same_decomposition(point)
+
+
+DECOMPOSE_POINTS = SPECIAL_POINTS + [
+    (F(1), F(1)),
+    (F(-1), F(-1), F(1)),
+    (F(1), F(6), F(-1)),
+    (F(-1), F(12, 5), F(1), F(-5, 12)),
+    (F(6), F(6), F(6)),
+    (F(12), F(18), F(12)),
+    (F(-5, 7), F(5, 7), F(5, 7)),
+    (F(BIG_P, 3), F(-BIG_P, 3), F(2)),
+]
+
+
+@pytest.mark.parametrize("point", DECOMPOSE_POINTS, ids=str)
+def test_decompose_matches_oracle(point):
+    _same_decomposition(point)
+
+
+def test_all_unit_point_has_rank_zero():
+    d = decompose((F(-1), F(-1), F(1)))
+    assert (d.rank, d.signs, d.exponents.entries) == (0, (-1, -1, 1), ((), (), ()))
