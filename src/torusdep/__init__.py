@@ -12,15 +12,12 @@ from .errors import (
 from .exactcore import (
     Poly,
     RatFunc,
-    Rational,
     factor_poly,
-    monomial_product,
     nth_power_in_Q,
 )
 from .intlattice import (
     IntMatrix,
     LatticeBasis,
-    express_in_basis,
     hnf,
     kernel_basis,
     min_content,
@@ -32,7 +29,6 @@ from .curvegeom import (
     Divisor,
     NormalizedCharacter,
     Place,
-    character_restrict,
     check_assumption,
     cyclotomic_realizable,
     divisor_of,
@@ -54,7 +50,6 @@ from .multdep import (
 )
 from .explorer import (
     AnalysisConfig,
-    FiberPoint,
     Report,
     ScanRecord,
     analyze,

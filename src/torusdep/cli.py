@@ -149,12 +149,8 @@ def _cmd_decompose(args) -> int:
 def _cmd_fiber(args) -> int:
     curve = parse_curve(args.curve)
     char = _parse_char(args.char)
-    points = torsion_fiber(curve, char, args.order)
-    payload = {
-        "char": list(char),
-        "N": args.order,
-        "factors": [str(fp.minimal_polynomial) for fp in points],
-    }
+    factors = torsion_fiber(curve, char, args.order)
+    payload = {"char": list(char), "N": args.order, "factors": [str(q) for q in factors]}
     _emit(payload, args.format)
     return EXIT_OK
 

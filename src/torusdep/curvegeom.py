@@ -18,13 +18,7 @@ from .errors import (
     ImproperParametrization,
     InvariantViolation,
 )
-from .exactcore import (
-    Poly,
-    RatFunc,
-    factor_poly,
-    monomial_product,
-    nth_power_in_Q,
-)
+from .exactcore import Poly, RatFunc, factor_poly, nth_power_in_Q
 from .intlattice import IntMatrix, content, kernel_basis
 
 Character = Tuple[int, ...]
@@ -241,11 +235,6 @@ def check_assumption(curve: CurveData) -> Optional[Character]:
     return v
 
 
-def character_restrict(curve: CurveData, a: Sequence[int]) -> RatFunc:
-    """The restriction of the character x -> x**a to the curve."""
-    return monomial_product(curve.coords, tuple(a))
-
-
 def cyclotomic_realizable(c: Fraction, m: int) -> bool:
     """Whether the scaling constant c can be absorbed over the cyclotomic
     closure of Q: true iff m divides 2*v_p(c) for every prime p, i.e. c**2
@@ -257,16 +246,10 @@ def cyclotomic_realizable(c: Fraction, m: int) -> bool:
     return nth_power_in_Q(c * c, m) is not None
 
 
-def normalize_character(curve: CurveData, a: Sequence[int]) -> NormalizedCharacter:
-    """Normalize a character whose divisor on the curve is m(P) - m(Q) with
-    P, Q rational: record (P, Q, m, c) with the restriction equal to
-    c * s**m after the Moebius substitution sending P to 0 and Q to inf.
-
-    P, Q and m come from the divisor D*a, read over the places of the
-    divisor matrix D as in phi_enumerate. The restriction is then
-    c*(t-p)**m, c/(t-q)**m or c*((t-p)/(t-q))**m, so c is its
-    leading-coefficient ratio prod(lc(num_i)**a_i), denominators being monic."""
-    a = tuple(int(x) for x in a)
+def two_point_divisor(curve: CurveData, a: Sequence[int]) -> Tuple[Place, Place, int]:
+    """(P, Q, m) for a character whose divisor on the curve is m(P) - m(Q)
+    with P, Q rational, read as D*a over the places of the divisor matrix D
+    as in phi_enumerate; DomainError for any other character."""
     if len(a) != curve.n:
         raise DomainError(f"got {curve.n} functions but {len(a)} exponents")
     image = curve.divisor_matrix.mul_vec(a)
@@ -278,7 +261,19 @@ def normalize_character(curve: CurveData, a: Sequence[int]) -> NormalizedCharact
     (p1, m1), (p2, m2) = items
     if m1 + m2 != 0:
         raise InvariantViolation("two-point divisor with non-opposite multiplicities")
-    P, Q, m = (p1, p2, m1) if m1 > 0 else (p2, p1, m2)
+    return (p1, p2, m1) if m1 > 0 else (p2, p1, m2)
+
+
+def normalize_character(curve: CurveData, a: Sequence[int]) -> NormalizedCharacter:
+    """Normalize a character whose divisor on the curve is m(P) - m(Q) with
+    P, Q rational: record (P, Q, m, c) with the restriction equal to
+    c * s**m after the Moebius substitution sending P to 0 and Q to inf.
+
+    P, Q and m come from two_point_divisor. The restriction is then
+    c*(t-p)**m, c/(t-q)**m or c*((t-p)/(t-q))**m, so c is its
+    leading-coefficient ratio prod(lc(num_i)**a_i), denominators being monic."""
+    a = tuple(int(x) for x in a)
+    P, Q, m = two_point_divisor(curve, a)
     c = Fraction(1)
     for f, e in zip(curve.coords, a):
         c *= f.num.leading ** e

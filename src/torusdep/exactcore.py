@@ -10,13 +10,11 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import sympy
 
 from .errors import DomainError
-
-Rational = Fraction
 
 _T = sympy.Symbol("t")
 
@@ -190,9 +188,6 @@ class Poly:
         return acc
 
     def __str__(self):
-        return self.to_string("t")
-
-    def to_string(self, var: str = "t") -> str:
         if not self.coeffs:
             return "0"
         parts = []
@@ -205,7 +200,7 @@ class Poly:
             if i == 0:
                 body = str(mag)
             else:
-                tpow = var if i == 1 else f"{var}^{i}"
+                tpow = "t" if i == 1 else f"t^{i}"
                 body = tpow if mag == 1 else f"{mag}*{tpow}"
             if not parts:
                 parts.append(body if c > 0 else f"-{body}")
@@ -257,14 +252,6 @@ class RatFunc:
 
     def __setattr__(self, name, value):
         raise AttributeError("RatFunc is immutable")
-
-    @classmethod
-    def constant(cls, c) -> "RatFunc":
-        return cls(Poly([c]))
-
-    @classmethod
-    def variable(cls) -> "RatFunc":
-        return cls(Poly.variable())
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -396,14 +383,6 @@ def factor_key(p: Poly):
     return (p.degree, tuple(reversed(p.coeffs)))
 
 
-def expand_factors(unit: Fraction, factors) -> Poly:
-    """Inverse of factor_poly: unit * prod(factor**mult)."""
-    out = Poly([unit])
-    for f, mult in factors:
-        out = out * f ** mult
-    return out
-
-
 @functools.lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> Poly:
     """The n-th cyclotomic polynomial, in integers: Phi_n(t) = Phi_r(t**(n/r))
@@ -431,24 +410,6 @@ def cyclotomic_poly(n: int) -> Poly:
     out = [0] * ((len(cs) - 1) * (n // k) + 1)
     out[:: n // k] = cs
     return Poly(out)
-
-
-def monomial_product(fs: Sequence[RatFunc], a: Sequence[int]) -> RatFunc:
-    """The fully reduced product prod(fs[i] ** a[i])."""
-    if len(fs) != len(a):
-        raise DomainError(f"got {len(fs)} functions but {len(a)} exponents")
-    num = Poly([1])
-    den = Poly([1])
-    for f, e in zip(fs, a):
-        if f.is_zero():
-            raise DomainError("monomial product of the zero function")
-        if e >= 0:
-            num = num * f.num ** e
-            den = den * f.den ** e
-        else:
-            num = num * f.den ** (-e)
-            den = den * f.num ** (-e)
-    return RatFunc(num, den)
 
 
 def int_nth_root(x: int, m: int) -> Optional[int]:

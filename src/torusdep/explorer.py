@@ -16,6 +16,7 @@ from .curvegeom import (
     Place,
     normalize_character,
     phi_enumerate,
+    two_point_divisor,
 )
 from .errors import DomainError, InvariantViolation
 from .exactcore import Poly, cyclotomic_poly, factor_key, factor_poly, nth_power_in_Q
@@ -43,16 +44,6 @@ class AnalysisConfig:
     def __post_init__(self):
         if min(self.torsion_order_bound, self.scan_height_bound) < 1:
             raise DomainError("all bounds must be at least 1")
-
-
-@dataclass(frozen=True)
-class FiberPoint:
-    """A Galois orbit of curve points where the character value is a root
-    of unity of order dividing the given order."""
-
-    minimal_polynomial: Poly
-    character: Character
-    order: int
 
 
 @dataclass(frozen=True)
@@ -144,27 +135,25 @@ def _totient_sum(N: int) -> int:
     return sum(phi[1:])
 
 
-def torsion_fiber(curve: CurveData, a: Sequence[int], N: int) -> List[FiberPoint]:
+def torsion_fiber(curve: CurveData, a: Sequence[int], N: int) -> Tuple[Poly, ...]:
     """Fiber of the restricted character over roots of unity of order
-    dividing N, as irreducible polynomials in the curve parameter.
+    dividing N, as the minimal polynomials of its points in the curve
+    parameter.
 
     The restriction is c * s**m in s = L_P/L_Q, and the fiber is the union
     over d | N of the _cyclotomic_factors of d, of total degree at most
     m*N; those of different d have disjoint roots and are merged in
     factor_poly order. Raises what CurveData.require_proper raises, and
-    DomainError when m*N exceeds MAX_FIBER_DEGREE or a polynomial to
-    factor exceeds MAX_FALLBACK_DEGREE.
+    DomainError when m*N exceeds MAX_FIBER_DEGREE, checked before c is
+    built, or a polynomial to factor exceeds MAX_FALLBACK_DEGREE.
     """
     curve.require_proper()
     if N < 1:
         raise DomainError("torsion order must be positive")
-    norm = normalize_character(curve, a)  # validates the character
-    _require_fiber_budget(norm.m, N)
+    _require_fiber_budget(two_point_divisor(curve, a)[2], N)  # validates the character
+    norm = normalize_character(curve, a)
     by_divisor = {d: _cyclotomic_factors(curve, norm, d) for d in range(1, N + 1) if N % d == 0}
-    return [
-        FiberPoint(minimal_polynomial=q, character=norm.a, order=N)
-        for q in _order_fiber(by_divisor, N)
-    ]
+    return _order_fiber(by_divisor, N)
 
 
 def _place_forms(curve: CurveData) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[Fraction, ...]]:

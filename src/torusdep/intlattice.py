@@ -8,8 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .errors import DomainError
 
@@ -32,10 +31,6 @@ class IntMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
     @property
     def rows(self) -> int:
         return len(self.entries)
@@ -55,14 +50,6 @@ class IntMatrix:
             raise DomainError("dimension mismatch in matrix-vector product")
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)
 
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise DomainError("dimension mismatch in matrix product")
-        ot = other.transpose()
-        return IntMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in ot.entries] for row in self.entries]
-        )
-
     def __eq__(self, other):
         if isinstance(other, IntMatrix):
             return self.entries == other.entries
@@ -73,28 +60,6 @@ class IntMatrix:
 
     def __repr__(self):
         return f"IntMatrix({[list(r) for r in self.entries]})"
-
-    def determinant(self) -> int:
-        if self.rows != self.cols:
-            raise DomainError("determinant of a non-square matrix")
-        n = self.rows
-        m = [[Fraction(x) for x in row] for row in self.entries]
-        det = Fraction(1)
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-            if pivot is None:
-                return 0
-            if pivot != col:
-                m[col], m[pivot] = m[pivot], m[col]
-                det = -det
-            det *= m[col][col]
-            inv = 1 / m[col][col]
-            for r in range(col + 1, n):
-                f = m[r][col] * inv
-                if f:
-                    m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-        assert det.denominator == 1
-        return det.numerator
 
 
 def rank(vectors: Sequence[Sequence[int]]) -> int:
@@ -140,9 +105,6 @@ class LatticeBasis:
 
     def is_zero(self) -> bool:
         return not self.vectors
-
-    def matrix(self) -> IntMatrix:
-        return IntMatrix(self.vectors)
 
 
 def hnf(M: IntMatrix) -> Tuple[IntMatrix, IntMatrix]:
@@ -194,15 +156,12 @@ def hnf(M: IntMatrix) -> Tuple[IntMatrix, IntMatrix]:
 
 def kernel_basis(M: IntMatrix) -> LatticeBasis:
     """A basis of the saturated lattice {a in Z^cols : M @ a = 0}."""
-    n = M.cols
-    if M.rows == 0 or n == 0:
-        return LatticeBasis(n, tuple(tuple(row) for row in IntMatrix.identity(n).entries))
     ht, ut = hnf(M.transpose())
     vecs = []
     for i in range(ht.rows):
         if all(x == 0 for x in ht.row(i)):
             vecs.append(_sign_normalized(ut.row(i)))
-    return LatticeBasis(n, tuple(vecs))
+    return LatticeBasis(M.cols, tuple(vecs))
 
 
 def _sign_normalized(v: Sequence[int]) -> Vector:
@@ -309,33 +268,3 @@ def primitive_witness(B: LatticeBasis) -> Optional[Vector]:
     v = _smith_first_witness(B)
     assert content(v) == 1
     return _sign_normalized(v)
-
-
-def express_in_basis(v: Sequence[int], B: LatticeBasis) -> Optional[Vector]:
-    """Integer coordinates x with sum(x[j] * B.vectors[j]) == v, or None."""
-    v = tuple(int(x) for x in v)
-    if len(v) != B.ambient:
-        raise DomainError("vector length differs from ambient dimension")
-    if B.is_zero():
-        return () if all(x == 0 for x in v) else None
-    h, u = hnf(B.matrix())
-    pivots: List[Tuple[int, int]] = []  # (row, col)
-    for i in range(h.rows):
-        col = next((j for j in range(h.cols) if h.entries[i][j] != 0), None)
-        assert col is not None  # basis rows are independent
-        pivots.append((i, col))
-    residual = list(v)
-    y = [0] * h.rows
-    for i, col in pivots:
-        p = h.entries[i][col]
-        if residual[col] % p != 0:
-            return None
-        q = residual[col] // p
-        y[i] = q
-        if q:
-            residual = [a - q * b for a, b in zip(residual, h.entries[i])]
-    if any(x != 0 for x in residual):
-        return None
-    # x = y @ U maps HNF coordinates back to the original basis.
-    x = tuple(sum(y[i] * u.entries[i][j] for i in range(len(y))) for j in range(u.cols))
-    return x

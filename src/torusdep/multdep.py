@@ -300,16 +300,6 @@ class Decomposition:
     def rank(self) -> int:
         return len(self.generators)
 
-    def reconstruct(self) -> PointQ:
-        out = []
-        for i, s in enumerate(self.signs):
-            v = Fraction(s)
-            row = self.exponents.row(i) if self.rank else ()
-            for g, e in zip(self.generators, row):
-                v *= g ** e
-            out.append(v)
-        return tuple(out)
-
 
 def decompose(P: Sequence[Fraction]) -> Decomposition:
     """Torsion/free decomposition of the group generated by the coordinates.

@@ -18,7 +18,13 @@ through the Moebius change, cyclotomic_poly_oracle divides t**n - 1 by
 every Phi_d instead of building Phi_n from its radical, and
 decompose_oracle solves each coordinate's exponent row with
 express_in_basis (its own HNF and transform) over the sympy-factored prime
-matrix instead of back-substituting against decompose's HNF."""
+matrix instead of back-substituting against decompose's HNF.
+
+The exact checks the tests apply to library output live here too:
+express_in_basis solves for lattice coordinates, monomial_product and
+character_restrict multiply out a character on a curve, expand_factors
+multiplies a factorization back out and reconstruct rebuilds a point from
+its decomposition."""
 import functools
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
@@ -30,7 +36,6 @@ from torusdep.curvegeom import (
     CurveData,
     NormalizedCharacter,
     Place,
-    character_restrict,
     check_assumption,
     cyclotomic_realizable,
     divisor_of,
@@ -43,7 +48,6 @@ from torusdep.intlattice import (
     IntMatrix,
     LatticeBasis,
     content,
-    express_in_basis,
     hnf,
     kernel_basis,
     primitive_witness,
@@ -51,12 +55,81 @@ from torusdep.intlattice import (
 from torusdep.multdep import (
     Decomposition,
     FactoredRational,
+    PointQ,
     Vector,
     _check_point,
     point_height,
     relation_lattice,
     root_of_unity_order,
 )
+
+
+def express_in_basis(v: Sequence[int], B: LatticeBasis) -> Optional[Vector]:
+    """Integer coordinates x with sum(x[j] * B.vectors[j]) == v, or None,
+    by back-substitution against the HNF of the basis and its transform."""
+    v = tuple(int(x) for x in v)
+    if len(v) != B.ambient:
+        raise DomainError("vector length differs from ambient dimension")
+    if B.is_zero():
+        return () if all(x == 0 for x in v) else None
+    h, u = hnf(IntMatrix(B.vectors))
+    residual = list(v)
+    y = []
+    for row in h.entries:
+        col = next(j for j, x in enumerate(row) if x)  # basis rows are independent
+        q, rem = divmod(residual[col], row[col])
+        if rem:
+            return None
+        y.append(q)
+        residual = [a - q * b for a, b in zip(residual, row)]
+    if any(residual):
+        return None
+    # x = y U maps HNF coordinates back to the original basis.
+    return tuple(sum(yi * ui[j] for yi, ui in zip(y, u.entries)) for j in range(u.cols))
+
+
+def monomial_product(fs: Sequence[RatFunc], a: Sequence[int]) -> RatFunc:
+    """The fully reduced product prod(fs[i] ** a[i])."""
+    if len(fs) != len(a):
+        raise DomainError(f"got {len(fs)} functions but {len(a)} exponents")
+    num = Poly([1])
+    den = Poly([1])
+    for f, e in zip(fs, a):
+        if f.is_zero():
+            raise DomainError("monomial product of the zero function")
+        if e >= 0:
+            num = num * f.num ** e
+            den = den * f.den ** e
+        else:
+            num = num * f.den ** (-e)
+            den = den * f.num ** (-e)
+    return RatFunc(num, den)
+
+
+def character_restrict(curve: CurveData, a: Sequence[int]) -> RatFunc:
+    """The restriction of the character x -> x**a to the curve."""
+    return monomial_product(curve.coords, tuple(a))
+
+
+def expand_factors(unit: Fraction, factors) -> Poly:
+    """Inverse of factor_poly: unit * prod(factor**mult)."""
+    out = Poly([unit])
+    for f, mult in factors:
+        out = out * f ** mult
+    return out
+
+
+def reconstruct(d: Decomposition) -> PointQ:
+    """The point sign_i * prod(generators ** exponent row i) a
+    decomposition describes."""
+    out = []
+    for i, s in enumerate(d.signs):
+        v = Fraction(s)
+        row = d.exponents.row(i) if d.rank else ()
+        for g, e in zip(d.generators, row):
+            v *= g ** e
+        out.append(v)
+    return tuple(out)
 
 
 def phi_oracle(curve: CurveData, B: int) -> List[Character]:
@@ -184,6 +257,7 @@ def scan_oracle(
     return records
 
 
+@functools.lru_cache(maxsize=None)
 def _sympy_factor_rational(x: Fraction) -> FactoredRational:
     if x == 0:
         raise DomainError("cannot factor zero")
@@ -310,7 +384,7 @@ def compose(f: RatFunc, g: RatFunc) -> RatFunc:
 
 def _mobius_from_zero_inf(P: Place, Q: Place) -> RatFunc:
     """The inverse of the Moebius map sending P to 0 and Q to infinity."""
-    T = RatFunc.variable()
+    T = RatFunc(Poly.variable())
     if Q.is_infinity:
         return T + P.rational_root()
     if P.is_infinity:

@@ -3,11 +3,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from oracles import compose, phi_oracle
+from oracles import character_restrict, compose, monomial_product, phi_oracle
 from torusdep.curvegeom import (
     CurveData,
     Place,
-    character_restrict,
     check_assumption,
     cyclotomic_realizable,
     divisor_of,
@@ -16,12 +15,7 @@ from torusdep.curvegeom import (
     phi_enumerate,
 )
 from torusdep.errors import DomainError, PreconditionError
-from torusdep.exactcore import (
-    Poly,
-    RatFunc,
-    monomial_product,
-    nth_power_in_Q,
-)
+from torusdep.exactcore import Poly, RatFunc, nth_power_in_Q
 
 T = Poly.variable()
 INF = Place.INFINITY
@@ -151,7 +145,7 @@ def test_normalize_character_bad_support():
 
 def _mobius_for(norm):
     """The Moebius map mu sending P to 0 and Q to infinity."""
-    s = RatFunc.variable()
+    s = RatFunc(T)
     if norm.Q.is_infinity:
         return s - norm.P.rational_root()
     if norm.P.is_infinity:

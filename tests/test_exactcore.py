@@ -4,17 +4,15 @@ import time
 from fractions import Fraction as F
 
 import pytest
-from oracles import cyclotomic_poly_oracle
+from oracles import cyclotomic_poly_oracle, expand_factors, monomial_product
 
 from torusdep.errors import DomainError
 from torusdep.exactcore import (
     Poly,
     RatFunc,
     cyclotomic_poly,
-    expand_factors,
     factor_poly,
     int_nth_root,
-    monomial_product,
     nth_power_in_Q,
     poly_gcd,
 )

@@ -2,6 +2,7 @@
 budget) against sympy.factorint, and the rho steps it charges; the coprime
 base; the rank-first relation lattice against relation_oracle, the prime
 route alone; and decompose against decompose_oracle."""
+import functools
 import importlib.util
 import math
 import random
@@ -205,6 +206,7 @@ def test_coprime_base_random():
 # rank-first relation lattice against the prime route
 
 
+@functools.lru_cache(maxsize=None)  # shared by the oracle and decompose tests
 def _make_points(seed):
     path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("bench_workloads", path)

@@ -3,14 +3,15 @@ import math
 import random
 
 import pytest
+import sympy
 
+from oracles import express_in_basis
 from torusdep import intlattice
 from torusdep.errors import DomainError
 from torusdep.intlattice import (
     IntMatrix,
     LatticeBasis,
     content,
-    express_in_basis,
     hnf,
     kernel_basis,
     min_content,
@@ -35,16 +36,22 @@ def _is_hnf(h):
             assert 0 <= h.row(k)[j] < row[j]
 
 
+def _assert_transform(M, H, U):
+    """U is unimodular and H = U M, checked in sympy."""
+    u = sympy.Matrix(U.entries)
+    assert abs(u.det()) == 1
+    assert u * sympy.Matrix(M.entries) == sympy.Matrix(H.entries)
+
+
 def test_hnf_example():
     M = IntMatrix([[2, 1], [1, 2]])
     H, U = hnf(M)
     assert H == IntMatrix([[1, 2], [0, 3]])
-    assert abs(U.determinant()) == 1
-    assert U @ M == H
+    _assert_transform(M, H, U)
 
 
 def test_hnf_identity_and_zero():
-    I3 = IntMatrix.identity(3)
+    I3 = IntMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     H, U = hnf(I3)
     assert H == I3 and U == I3
     H, _ = hnf(IntMatrix([[0, 0]]))
@@ -58,8 +65,7 @@ def test_hnf_random_properties():
         cols = rng.randint(1, 4)
         M = IntMatrix([[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)])
         H, U = hnf(M)
-        assert abs(U.determinant()) == 1
-        assert U @ M == H
+        _assert_transform(M, H, U)
         _is_hnf(H)
 
 

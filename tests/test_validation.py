@@ -2,8 +2,11 @@
 per curve and reported by exception type; CLI exit codes; parser and
 point-literal budgets."""
 import json
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -122,6 +125,20 @@ class TestExitCodes:
             assert main(argv) == 2
             assert capsys.readouterr().err.startswith("error:")
         assert time.perf_counter() - start < 2
+
+    def test_large_character_multiple_exits_2_at_once(self):
+        """m = 10**8 is refused from D*a, before c = 2**m is built or its
+        m-th root sought; in a subprocess, so a regression times out."""
+        path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        argv = ["fiber", "--curve", "2*(t-1); t", "--char", "100000000,0", "--order", "1"]
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "torusdep.cli", *argv], env=env, capture_output=True, text=True, timeout=30
+        )
+        assert time.perf_counter() - start < 5
+        assert done.returncode == 2
+        assert done.stderr.startswith("error:")
 
     def test_long_literal_exits_2(self, capsys):
         assert main(["check", "--curve", "9" * 5000 + "*t; t"]) == 2
