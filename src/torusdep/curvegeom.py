@@ -10,8 +10,6 @@ from fractions import Fraction
 from functools import cached_property
 from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
-import sympy
-
 from .errors import (
     AssumptionViolation,
     DomainError,
@@ -205,6 +203,8 @@ def map_degree(curve: CurveData) -> int:
     parametrization is proper (birational onto the curve) iff this degree
     is 1.
     """
+    import sympy  # loaded on the first call, for the gcd
+
     t, s = sympy.symbols("t s")
     g = None
     for f in curve.coords:

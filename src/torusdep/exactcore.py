@@ -12,11 +12,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Optional
 
-import sympy
-
 from .errors import DomainError
-
-_T = sympy.Symbol("t")
 
 
 def _frac(x) -> Fraction:
@@ -24,8 +20,6 @@ def _frac(x) -> Fraction:
         return x
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, sympy.Rational):
-        return Fraction(int(x.p), int(x.q))
     raise TypeError(f"cannot coerce {x!r} to a rational")
 
 
@@ -343,18 +337,6 @@ def _as_ratfunc(x) -> RatFunc:
     return RatFunc(Poly([_frac(x)]))
 
 
-def _poly_to_sympy(p: Poly):
-    return sympy.Poly(
-        [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)],
-        _T,
-        domain="QQ",
-    )
-
-
-def _sympy_to_poly(sp) -> Poly:
-    return Poly([_frac(c) for c in reversed(sp.all_coeffs())])
-
-
 def factor_poly(p: Poly):
     """Factor p over Q into a unit and monic irreducible factors.
 
@@ -365,13 +347,15 @@ def factor_poly(p: Poly):
         raise DomainError("cannot factor the zero polynomial")
     if p.is_constant():
         return p.coeffs[0], []
-    unit, raw = _poly_to_sympy(p).factor_list()
-    unit = _frac(unit)
+    import sympy  # loaded on the first call: nothing else in exactcore needs it
+
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
+    unit, raw = sympy.Poly(coeffs, sympy.Symbol("t"), domain="QQ").factor_list()
+    unit = Fraction(int(unit.p), int(unit.q))
     factors = []
     for f, mult in raw:
-        q = _sympy_to_poly(f)
-        lc = q.leading
-        unit *= lc ** mult
+        q = Poly([Fraction(int(c.p), int(c.q)) for c in reversed(f.all_coeffs())])
+        unit *= q.leading ** mult
         factors.append((q.monic(), int(mult)))
     factors.sort(key=lambda fm: factor_key(fm[0]))
     return unit, factors
@@ -413,25 +397,20 @@ def cyclotomic_poly(n: int) -> Poly:
 
 
 def int_nth_root(x: int, m: int) -> Optional[int]:
-    """Exact m-th root of a nonnegative integer, or None."""
+    """Exact m-th root of a nonnegative integer, or None: integer Newton
+    steps r -> ((m-1)*r + x // r**(m-1)) // m from 2**ceil(bits/m), which
+    is above the root, fall strictly until they reach floor(x**(1/m))."""
     if x < 0 or m < 1:
         raise DomainError("int_nth_root expects x >= 0, m >= 1")
-    if x in (0, 1) or m == 1:
+    if x < 2 or m == 1:
         return x
-    lo, hi = 0, 1
-    while hi ** m < x:
-        hi <<= 1
-    lo = hi >> 1
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        v = mid ** m
-        if v == x:
-            return mid
-        if v < x:
-            lo = mid + 1
-        else:
-            hi = mid - 1
-    return None
+    r = 1 << -(-x.bit_length() // m)
+    while True:
+        p = r ** (m - 1)
+        s = ((m - 1) * r + x // p) // m
+        if s >= r:
+            return r if p * r == x else None
+        r = s
 
 
 def nth_power_in_Q(c: Fraction, m: int) -> Optional[Fraction]:

@@ -4,9 +4,9 @@ coordinates, and Weil heights.
 
 Points have nonzero rational coordinates; the only torsion in Q* is the
 sign, which is handled as a parity functional on the relation kernel.
-Integers are factored by factor_int. sympy here only builds the table of
-primes below 2^12 at import, certifies primes (isprime) and takes exact
-integer roots (integer_nthroot).
+Integers are factored by factor_int. Its one use of sympy is isprime, to
+certify a cofactor of 2^24 or more; sympy is imported there, on first use,
+so points whose cofactors stay below 2^24 never load it.
 """
 from __future__ import annotations
 
@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-import sympy
-
 from .errors import DomainError
+from .exactcore import int_nth_root
 from .intlattice import (
     IntMatrix,
     LatticeBasis,
@@ -46,8 +45,17 @@ class FactoredRational:
         return v
 
 
+def _primes_below(n: int) -> Tuple[int, ...]:
+    """The primes below n (n >= 2), by the sieve of Eratosthenes."""
+    sieve = bytearray([0, 0]) + bytearray([1]) * (n - 2)
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n, p)))
+    return tuple(p for p, flag in enumerate(sieve) if flag)
+
+
 _SMALL_BOUND = 1 << 12
-_SMALL_PRIMES = tuple(int(p) for p in sympy.primerange(2, _SMALL_BOUND))
+_SMALL_PRIMES = _primes_below(_SMALL_BOUND)
 _SMALL_PRODUCT = math.prod(_SMALL_PRIMES)
 _RHO_BATCH = 128
 # Pollard rho steps one factor_int call may take, like the parser's budgets:
@@ -81,7 +89,9 @@ def factor_int(n: int) -> Dict[int, int]:
     todo = [n] if n > 1 else []
     while todo:
         m = todo.pop()
-        if m < _SMALL_BOUND ** 2 or sympy.isprime(m):
+        if m >= _SMALL_BOUND ** 2:
+            from sympy import isprime  # sympy is loaded on the first such cofactor
+        if m < _SMALL_BOUND ** 2 or isprime(m):
             out[m] = out.get(m, 0) + 1
             continue
         root, k = _perfect_power(m)
@@ -111,9 +121,9 @@ def _perfect_power(m: int) -> Tuple[int, int]:
     for k in _SMALL_PRIMES:
         if k > limit:
             break
-        r, exact = sympy.integer_nthroot(m, k)
-        if exact:
-            return int(r), k
+        r = int_nth_root(m, k)
+        if r is not None:
+            return r, k
     return m, 1
 
 

@@ -434,13 +434,28 @@ def power_fiber_oracle(curve: CurveData, a: Sequence[int], N: int) -> List[Poly]
     ]
 
 
-@functools.lru_cache(maxsize=None)
 def cyclotomic_poly_oracle(n: int) -> Poly:
     """The n-th cyclotomic polynomial, by exact division of t^n - 1."""
     if n < 1:
         raise DomainError("cyclotomic index must be positive")
-    num = Poly([-1] + [0] * (n - 1) + [1])
+    return Poly(_cyclotomic_coeffs(n))
+
+
+@functools.lru_cache(maxsize=None)
+def _cyclotomic_coeffs(n: int) -> tuple:
+    """Integer coefficients of t^n - 1 divided by Phi_d for each proper
+    divisor d of n, in turn; each Phi_d is monic, so every quotient
+    coefficient is an integer, and each remainder must be zero."""
+    num = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            num //= cyclotomic_poly_oracle(d)
-    return num
+            den = _cyclotomic_coeffs(d)
+            dq = len(den) - 1
+            quot = [0] * (len(num) - dq)
+            for i in range(len(num) - 1, dq - 1, -1):
+                c = quot[i - dq] = num[i]
+                for j in range(dq):
+                    num[i - dq + j] -= c * den[j]
+            assert not any(num[:dq]), (n, d)
+            num = quot
+    return tuple(num)

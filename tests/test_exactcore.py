@@ -4,6 +4,7 @@ import time
 from fractions import Fraction as F
 
 import pytest
+import sympy
 from oracles import cyclotomic_poly_oracle, expand_factors, monomial_product
 
 from torusdep.errors import DomainError
@@ -190,6 +191,16 @@ def test_int_nth_root():
     assert int_nth_root(64, 3) == 4
     assert int_nth_root(65, 3) is None
     assert int_nth_root(10 ** 60, 4) == 10 ** 15
+    # seeded against sympy: 0, 1, powers b**m and their neighbours, random x
+    rng = random.Random(12)
+    for m in range(1, 71):
+        top = int(sympy.integer_nthroot(10 ** 300, m)[0])
+        xs = [0, 1, rng.randrange(10 ** 300)]
+        for b in (2, rng.randint(2, min(top, 9)), rng.randint(2, top), rng.randint(2, top), top):
+            xs += [b ** m - 1, b ** m, b ** m + 1]
+        for x in xs:
+            r, exact = sympy.integer_nthroot(x, m)
+            assert int_nth_root(x, m) == (int(r) if exact else None), (x, m)
 
 
 def test_nth_power_in_Q():

@@ -60,6 +60,10 @@ def test_special_values():
         _same_as_sympy(n)
 
 
+def test_small_primes_are_sympys():
+    assert multdep._SMALL_PRIMES == tuple(sympy.primerange(2, 4096))
+
+
 def test_products_of_two_medium_primes():
     rng = random.Random(11)
     for a in range(5, 10):
@@ -141,6 +145,7 @@ def test_perfect_power_of_a_large_prime_needs_no_rho(monkeypatch):
     monkeypatch.setattr(multdep, "MAX_RHO_STEPS", 0)
     assert factor_int(p ** 2) == {p: 2}
     assert factor_int(8 * p ** 3) == {2: 3, p: 3}
+    assert factor_int(p ** 35) == {p: 35}  # (p**7)**5, then p**7
 
 
 def test_budget_raises_domain_error(monkeypatch):

@@ -33,6 +33,12 @@ from torusdep.parser import (
 SMALL = AnalysisConfig(torsion_order_bound=2, scan_height_bound=5)
 
 
+def _src_env():
+    """The environment with this checkout's src first on PYTHONPATH."""
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+
 def test_curve_errors_are_precondition_errors():
     assert issubclass(AssumptionViolation, PreconditionError)
     assert issubclass(ImproperParametrization, PreconditionError)
@@ -129,12 +135,10 @@ class TestExitCodes:
     def test_large_character_multiple_exits_2_at_once(self):
         """m = 10**8 is refused from D*a, before c = 2**m is built or its
         m-th root sought; in a subprocess, so a regression times out."""
-        path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
         argv = ["fiber", "--curve", "2*(t-1); t", "--char", "100000000,0", "--order", "1"]
         start = time.perf_counter()
         done = subprocess.run(
-            [sys.executable, "-m", "torusdep.cli", *argv], env=env, capture_output=True, text=True, timeout=30
+            [sys.executable, "-m", "torusdep.cli", *argv], env=_src_env(), capture_output=True, text=True, timeout=30
         )
         assert time.perf_counter() - start < 5
         assert done.returncode == 2
@@ -169,6 +173,34 @@ class TestExitCodes:
         assert main(["depends", "--point", "1/2, 0.25,-3"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["point"] == ["1/2", "1/4", "-3"] and out["relations"] == [[2, -1, 0]]
+
+    def test_option_values_may_start_with_a_minus_sign(self, capsys):
+        for command, flag, value in (
+            (["fiber", "--curve", "(t-1)^3; t", "--order", "2"], "--char", "-1,0"),
+            (["depends"], "--point", "-2,-8"),
+        ):
+            assert main([*command, flag, value]) == 0
+            spaced = capsys.readouterr().out
+            assert main([*command, f"{flag}={value}"]) == 0
+            assert capsys.readouterr().out == spaced
+        assert json.loads(spaced)["relations"] == [[3, -1]]
+
+
+def test_point_subcommands_do_not_import_sympy():
+    """sympy is imported where it is called: the point subcommands on small
+    points never load it, and analyze then loads it on demand."""
+    script = """
+import contextlib, io, sys
+import torusdep, torusdep.cli as cli
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["depends", "--point", "2,8"], ["primitive", "--point=-1,2"], ["decompose", "--point", "4,8"]):
+        assert cli.main(argv) == 0, argv
+    assert "sympy" not in sys.modules
+    assert cli.main(["analyze", "--curve", "(t-1)^2; t"]) == 0
+assert "sympy" in sys.modules
+"""
+    done = subprocess.run([sys.executable, "-c", script], env=_src_env(), capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 class TestParserBudgets:
