@@ -26,7 +26,6 @@ from .intlattice import (
 from .curvegeom import (
     Character,
     CurveData,
-    Divisor,
     NormalizedCharacter,
     Place,
     check_assumption,

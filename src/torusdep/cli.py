@@ -21,7 +21,14 @@ from .errors import (
     ParseError,
     PreconditionError,
 )
-from .explorer import AnalysisConfig, analyze, parse_curve, torsion_fiber
+from .explorer import (
+    AnalysisConfig,
+    analyze,
+    assumption_to_dict,
+    fiber_to_dict,
+    parse_curve,
+    torsion_fiber,
+)
 from .multdep import (
     decompose,
     is_primitively_dependent,
@@ -92,14 +99,7 @@ def _cmd_phi(args) -> int:
 def _cmd_check(args) -> int:
     curve = parse_curve(args.curve)
     violation = curve.violation
-    payload = {
-        "map_degree": curve.degree,
-        "assumption": {
-            "ok": violation is None,
-            "violation": list(violation) if violation else None,
-        },
-    }
-    _emit(payload, args.format)
+    _emit({"map_degree": curve.degree, "assumption": assumption_to_dict(violation)}, args.format)
     if curve.degree != 1:
         return EXIT_IMPROPER
     if violation is not None:
@@ -149,9 +149,7 @@ def _cmd_decompose(args) -> int:
 def _cmd_fiber(args) -> int:
     curve = parse_curve(args.curve)
     char = _parse_char(args.char)
-    factors = torsion_fiber(curve, char, args.order)
-    payload = {"char": list(char), "N": args.order, "factors": [str(q) for q in factors]}
-    _emit(payload, args.format)
+    _emit(fiber_to_dict(char, args.order, torsion_fiber(curve, char, args.order)), args.format)
     return EXIT_OK
 
 
@@ -210,9 +208,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
-    for i in range(len(argv) - 1, 0, -1):  # argparse would read -1,0 as an option
-        if argv[i - 1] in ("--char", "--point") and re.match(r"-[\d.]", argv[i]):
-            argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
+    # argparse would read a value such as -1,0 or -t;t+1 as an option: join
+    # it to its option, unless it names or abbreviates an option of the parser
+    commands = next(action.choices for action in parser._actions if action.choices)
+    options = [o for p in commands.values() for o in p._option_string_actions]
+    for i in range(len(argv) - 1, 0, -1):
+        head = argv[i].partition("=")[0]
+        if argv[i - 1] in ("--curve", "--char", "--point") and head.startswith("-"):
+            if not any(o.startswith(head) for o in options):
+                argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = parser.parse_args(argv)
     try:
         return args.func(args)

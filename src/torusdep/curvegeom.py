@@ -66,56 +66,22 @@ class Place:
 Place.INFINITY = Place(None)
 
 
-class Divisor:
-    """A finite formal sum of places with nonzero integer multiplicities."""
-
-    __slots__ = ("support",)
-
-    def __init__(self, support: Dict[Place, int]):
-        object.__setattr__(
-            self, "support", {p: int(m) for p, m in support.items() if m != 0}
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Divisor is immutable")
-
-    def multiplicity(self, place: Place) -> int:
-        return self.support.get(place, 0)
-
-    def items(self) -> List[Tuple[Place, int]]:
-        return sorted(self.support.items(), key=lambda pm: pm[0].sort_key())
-
-    def places(self) -> List[Place]:
-        return [p for p, _ in self.items()]
-
-    def total_degree(self) -> int:
-        return sum(m * p.degree for p, m in self.support.items())
-
-    def __eq__(self, other):
-        if isinstance(other, Divisor):
-            return self.support == other.support
-        return NotImplemented
-
-    def __repr__(self):
-        body = " + ".join(f"{m}*({p})" for p, m in self.items())
-        return f"Divisor({body or '0'})"
-
-
-def divisor_of(f: RatFunc) -> Divisor:
-    """The divisor of a nonzero rational function on the projective line."""
+def divisor_of(f: RatFunc) -> Dict[Place, int]:
+    """The divisor of a nonzero rational function on the projective line:
+    its places, each with its nonzero multiplicity."""
     if f.is_zero():
         raise DomainError("the zero function has no divisor")
     support: Dict[Place, int] = {}
     if not f.num.is_constant():
         for q, mult in factor_poly(f.num)[1]:
-            support[Place.finite(q)] = support.get(Place.finite(q), 0) + mult
+            support[Place.finite(q)] = mult
     if not f.den.is_constant():
         for q, mult in factor_poly(f.den)[1]:
-            support[Place.finite(q)] = support.get(Place.finite(q), 0) - mult
+            support[Place.finite(q)] = -mult  # f is reduced: no place is in both
     inf_mult = f.den.degree - f.num.degree
     if inf_mult:
         support[Place.INFINITY] = inf_mult
-    return Divisor(support)
+    return support
 
 
 @dataclass(frozen=True)
@@ -135,11 +101,9 @@ class CurveData:
         if any(f.is_zero() for f in coords):
             raise DomainError("coordinate functions must be nonzero")
         divisors = [divisor_of(f) for f in coords]
-        places = sorted(
-            {p for d in divisors for p in d.places()}, key=lambda p: p.sort_key()
-        )
+        places = sorted(set().union(*divisors), key=Place.sort_key)
         if places:
-            matrix = IntMatrix([[d.multiplicity(p) for d in divisors] for p in places])
+            matrix = IntMatrix([[d.get(p, 0) for d in divisors] for p in places])
         else:
             # every coordinate is constant; keep a zero row so the kernel
             # (and with it the hypothesis check) still sees all n columns

@@ -305,6 +305,14 @@ def scan_dependent(
     return records
 
 
+def fiber_to_dict(char: Sequence[int], order: int, factors: Sequence[Poly]) -> Dict:
+    return {"char": list(char), "N": order, "factors": [str(q) for q in factors]}
+
+
+def assumption_to_dict(violation: Optional[Character]) -> Dict:
+    return {"ok": violation is None, "violation": list(violation) if violation else None}
+
+
 @dataclass(frozen=True)
 class Report:
     curve_text: Tuple[str, ...]
@@ -327,16 +335,9 @@ class Report:
             "map_degree": self.map_degree,
             # constant: analyze raises before reporting on a curve that
             # fails either check
-            "assumption": {"ok": True, "violation": None},
+            "assumption": assumption_to_dict(None),
             "phi": [ch.to_dict() for ch in self.phi],
-            "fibers": [
-                {
-                    "char": list(char),
-                    "N": order,
-                    "factors": [str(q) for q in factors],
-                }
-                for char, order, factors in self.fibers
-            ],
+            "fibers": [fiber_to_dict(*fiber) for fiber in self.fibers],
             "scan": [
                 {
                     "t": str(r.parameter),

@@ -154,14 +154,16 @@ def hnf(M: IntMatrix) -> Tuple[IntMatrix, IntMatrix]:
     return IntMatrix(h), IntMatrix(u)
 
 
+def left_kernel(M: IntMatrix) -> Tuple[Vector, ...]:
+    """A basis of the saturated lattice {a in Z^rows : a @ M = 0}: the rows
+    of U opposite the zero rows of H = U @ M, sign-normalized."""
+    h, u = hnf(M)
+    return tuple(_sign_normalized(ur) for hr, ur in zip(h.entries, u.entries) if not any(hr))
+
+
 def kernel_basis(M: IntMatrix) -> LatticeBasis:
     """A basis of the saturated lattice {a in Z^cols : M @ a = 0}."""
-    ht, ut = hnf(M.transpose())
-    vecs = []
-    for i in range(ht.rows):
-        if all(x == 0 for x in ht.row(i)):
-            vecs.append(_sign_normalized(ut.row(i)))
-    return LatticeBasis(M.cols, tuple(vecs))
+    return LatticeBasis(M.cols, left_kernel(M.transpose()))
 
 
 def _sign_normalized(v: Sequence[int]) -> Vector:

@@ -21,7 +21,7 @@ from .intlattice import (
     IntMatrix,
     LatticeBasis,
     hnf,
-    kernel_basis,
+    left_kernel,
     primitive_witness,
     rank,
 )
@@ -204,10 +204,14 @@ def _check_point(P: Sequence[Fraction]) -> PointQ:
     return pt
 
 
-def _prime_exponent_matrix(pt: PointQ) -> Tuple[List[int], List[FactoredRational]]:
+def _exponent_matrix(pt: PointQ) -> Tuple[Tuple[int, ...], List[int], IntMatrix]:
+    """The coordinates' signs, the primes dividing them (increasing), and A:
+    one row per coordinate, holding its exponent at each of those primes."""
     facs = [factor_rational(x) for x in pt]
     primes = sorted({p for f in facs for p, _ in f.exponents})
-    return primes, facs
+    exps = [dict(f.exponents) for f in facs]
+    A = IntMatrix([[e.get(p, 0) for p in primes] for e in exps])
+    return tuple(f.sign for f in facs), primes, A
 
 
 def coprime_base(values: Iterable[int]) -> List[int]:
@@ -258,28 +262,17 @@ def relation_lattice(P: Sequence[Fraction]) -> LatticeBasis:
     A point whose |x_i| independent_over_coprime_base finds independent
     gets the zero lattice without any prime factoring (a relation among
     the x_i would square to one among the |x_i|).
-    Otherwise the kernel of the prime-exponent matrix handles absolute
-    values; the sign condition is a parity functional on that kernel,
-    cutting out a sublattice of index at most 2.
+    Otherwise the left kernel of the prime-exponent matrix A handles
+    absolute values; the sign condition is a parity functional on that
+    kernel, cutting out a sublattice of index at most 2.
     """
     pt = _check_point(P)
     n = len(pt)
     if independent_over_coprime_base([((abs(x.numerator), 1), (x.denominator, -1)) for x in pt]):
         return LatticeBasis(n, ())
-    primes, facs = _prime_exponent_matrix(pt)
-    exps = [dict(f.exponents) for f in facs]
-    if primes:
-        rows = [[exps[i].get(p, 0) for i in range(n)] for p in primes]
-        kernel = kernel_basis(IntMatrix(rows))
-    else:
-        kernel = kernel_basis(IntMatrix([[0] * n]))
-    sign_bits = [0 if f.sign > 0 else 1 for f in facs]
-
-    def parity(v: Vector) -> int:
-        return sum(x * s for x, s in zip(v, sign_bits)) % 2
-
-    vecs = list(kernel.vectors)
-    odd = [i for i, v in enumerate(vecs) if parity(v) == 1]
+    signs, _, A = _exponent_matrix(pt)
+    vecs = list(left_kernel(A))
+    odd = [i for i, v in enumerate(vecs) if sum(x for x, s in zip(v, signs) if s < 0) % 2]
     if odd:
         pivot = odd[0]
         for i in odd[1:]:
@@ -318,10 +311,8 @@ def decompose(P: Sequence[Fraction]) -> Decomposition:
     matrix, and each coordinate's exponent row comes from back-substitution
     against those rows at their pivot columns.
     """
-    primes, facs = _prime_exponent_matrix(_check_point(P))
-    exps = [dict(f.exponents) for f in facs]
-    A = [[e.get(p, 0) for p in primes] for e in exps]
-    h, _ = hnf(IntMatrix(A))
+    signs, primes, A = _exponent_matrix(_check_point(P))
+    h, _ = hnf(A)
     gen_rows = [row for row in h.entries if any(row)]
     pivots = [next(j for j, x in enumerate(row) if x) for row in gen_rows]
     generators = []
@@ -330,7 +321,7 @@ def decompose(P: Sequence[Fraction]) -> Decomposition:
         den = math.prod(p ** -e for p, e in zip(primes, row) if e < 0)
         generators.append(Fraction(num, den))
     exp_rows = []
-    for residual in A:
+    for residual in A.entries:
         coords = []
         for row, col in zip(gen_rows, pivots):
             q, rem = divmod(residual[col], row[col])
@@ -341,7 +332,7 @@ def decompose(P: Sequence[Fraction]) -> Decomposition:
         assert not any(residual)
         exp_rows.append(coords)
     return Decomposition(
-        signs=tuple(f.sign for f in facs),
+        signs=signs,
         generators=tuple(generators),
         exponents=IntMatrix(exp_rows),
     )

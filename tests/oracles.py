@@ -148,8 +148,7 @@ def phi_oracle(curve: CurveData, B: int) -> List[Character]:
         # div(x**-a) = -div(x**a): visit one of each +- pair, keep both
         if next(x for x in a if x) < 0 or content(a) != 1:
             continue
-        div = divisor_of(character_restrict(curve, a))
-        items = div.items()
+        items = divisor_of(character_restrict(curve, a)).items()
         if len(items) == 2 and all(p.degree == 1 for p, _ in items):
             out.extend((a, tuple(-x for x in a)))
     return sorted(out)
@@ -401,8 +400,7 @@ def character_oracle(curve: CurveData, a: Sequence[int]) -> NormalizedCharacter:
     Test use only."""
     a = tuple(int(x) for x in a)
     phi = character_restrict(curve, a)
-    div = divisor_of(phi)
-    items = div.items()
+    items = sorted(divisor_of(phi).items(), key=lambda pm: pm[0].sort_key())
     if len(items) != 2 or any(p.degree != 1 for p, _ in items):
         raise DomainError(
             "character divisor must be supported on two degree-1 places"

@@ -36,6 +36,27 @@ def test_relation_lattice_examples():
     assert relation_lattice((F(-1), F(2))).vectors == ((2, 0),)
 
 
+def test_dependent_relation_lattice_runs_one_hnf_and_builds_one_basis(monkeypatch):
+    from torusdep import intlattice, multdep
+
+    calls = {"hnf": 0, "basis": 0}
+    hnf, post_init = intlattice.hnf, intlattice.LatticeBasis.__post_init__
+
+    def counted_hnf(M):
+        calls["hnf"] += 1
+        return hnf(M)
+
+    def counted_post_init(self):
+        calls["basis"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(intlattice, "hnf", counted_hnf)
+    monkeypatch.setattr(multdep, "hnf", counted_hnf)
+    monkeypatch.setattr(intlattice.LatticeBasis, "__post_init__", counted_post_init)
+    assert relation_lattice((F(-2), F(8), F(3, 4))).vectors == ((6, -2, 0),)
+    assert calls == {"hnf": 1, "basis": 1}
+
+
 def test_is_dependent_examples():
     assert is_dependent((F(2), F(8)))
     assert not is_dependent((F(2), F(3)))

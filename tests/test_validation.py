@@ -176,6 +176,7 @@ class TestExitCodes:
 
     def test_option_values_may_start_with_a_minus_sign(self, capsys):
         for command, flag, value in (
+            (["check"], "--curve", "-t;t+1"),
             (["fiber", "--curve", "(t-1)^3; t", "--order", "2"], "--char", "-1,0"),
             (["depends"], "--point", "-2,-8"),
         ):
@@ -184,6 +185,13 @@ class TestExitCodes:
             assert main([*command, f"{flag}={value}"]) == 0
             assert capsys.readouterr().out == spaced
         assert json.loads(spaced)["relations"] == [[3, -1]]
+
+    def test_missing_option_value_is_argparse_error(self, capsys):
+        for argv in (["check", "--curve", "--format", "json"], ["depends", "--point", "--form"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "expected one argument" in capsys.readouterr().err
 
 
 def test_point_subcommands_do_not_import_sympy():
