@@ -398,13 +398,18 @@ def cyclotomic_poly(n: int) -> Poly:
 
 def int_nth_root(x: int, m: int) -> Optional[int]:
     """Exact m-th root of a nonnegative integer, or None: integer Newton
-    steps r -> ((m-1)*r + x // r**(m-1)) // m from 2**ceil(bits/m), which
-    is above the root, fall strictly until they reach floor(x**(1/m))."""
+    steps r -> ((m-1)*r + x // r**(m-1)) // m. By AM-GM one step from any
+    r > 0 lands at or above floor(x**(1/m)); the first is taken from a
+    float estimate of the root read off the top 53 bits of x, and from
+    there the steps fall strictly until they reach floor(x**(1/m))."""
     if x < 0 or m < 1:
         raise DomainError("int_nth_root expects x >= 0, m >= 1")
     if x < 2 or m == 1:
         return x
-    r = 1 << -(-x.bit_length() // m)
+    lg = math.log2(x) / m
+    e = max(int(lg) - 52, 0)
+    r = (int(2.0 ** (lg - e)) + 1) << e
+    r = ((m - 1) * r + x // r ** (m - 1)) // m
     while True:
         p = r ** (m - 1)
         s = ((m - 1) * r + x // p) // m

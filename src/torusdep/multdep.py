@@ -4,9 +4,13 @@ coordinates, and Weil heights.
 
 Points have nonzero rational coordinates; the only torsion in Q* is the
 sign, which is handled as a parity functional on the relation kernel.
-Integers are factored by factor_int. Its one use of sympy is isprime, to
-certify a cofactor of 2^24 or more; sympy is imported there, on first use,
-so points whose cofactors stay below 2^24 never load it.
+A point's |numerators| and denominators are first split into a coprime
+base by gcds alone. Where primes are needed, each base element is
+factored once, all of a call's elements in one batch (_factor_batch), and
+the exponent at a prime p is read off the one base element p divides.
+The batch's one use of sympy is isprime, to certify a cofactor of 2^24 or
+more; sympy is imported there, on first use, so points whose cofactors
+stay below 2^24 never load it.
 """
 from __future__ import annotations
 
@@ -58,23 +62,80 @@ _SMALL_BOUND = 1 << 12
 _SMALL_PRIMES = _primes_below(_SMALL_BOUND)
 _SMALL_PRODUCT = math.prod(_SMALL_PRIMES)
 _RHO_BATCH = 128
-# Pollard rho steps one factor_int call may take, like the parser's budgets:
-# past it, factoring raises DomainError instead of running on.
+# Composites are walked together while their bit lengths sum to at most
+# this; a wider one is walked alone. A wide step costs more than a narrow
+# one, so pairing pays only while one step mod the product costs less than
+# a step on each member. Time of _brent_rho on 30 seeded pairs of b-bit
+# members walked together, over the time walking them one at a time
+# (smaller prime in [2^21, 2^22), CPython 3.11, 2-vCPU x86-64):
+#   2b      128   192   224   256   288   320   384
+#   ratio  0.64  0.87  0.99  0.93  1.02  0.99  1.04
+_RHO_WIDTH = 256
+# Pollard rho steps one factoring call may take, over all its walks, like
+# the parser's budgets: past it, factoring raises DomainError instead of
+# running on.
 MAX_RHO_STEPS = 1 << 21
 
 
 def factor_int(n: int) -> Dict[int, int]:
-    """Prime factorization {p: e} of a positive integer, primes increasing.
+    """Prime factorization {p: e} of a positive integer, primes increasing:
+    _factor_batch of the one value."""
+    return _factor_batch([n])[0]
 
-    One gcd with the product of the primes below 2^12 reveals the small
-    prime factors, which are then divided out. A cofactor below 2^24 has no
-    prime factor up to its square root, so it is prime; a larger one is
-    certified by sympy.isprime, or else taken apart as a perfect power or
-    split by Brent's Pollard rho. The rho steps of one call are capped at
-    MAX_RHO_STEPS; past that DomainError is raised.
+
+def _factor_batch(values: Sequence[int]) -> List[Dict[int, int]]:
+    """Prime factorizations {p: e}, primes increasing, of positive
+    integers, one per value in order; each distinct value is factored once.
+
+    One gcd with the product of the primes below 2^12 reveals a value's
+    small prime factors, which are then divided out. A cofactor below 2^24
+    has no prime factor up to its square root, so it is prime; a larger one
+    is certified by sympy.isprime, or else taken apart as a perfect power.
+    The composites left over are split in rounds, each round's together by
+    _brent_rho, until only primes remain. The rho steps of one call are
+    capped at MAX_RHO_STEPS; past that DomainError is raised.
     """
-    if n < 1:
+    if any(v < 1 for v in values):
         raise DomainError("only positive integers are factored")
+    small = {v: _small_part(v) for v in set(values)}
+    # each cofactor met so far: its parts with multiplicity, [] for a prime
+    parts: Dict[int, List[Tuple[int, int]]] = {}
+    todo = sorted({m for _, m in small.values() if m > 1})
+    steps = 0
+    while todo:
+        composites = []
+        for m in todo:
+            if m >= _SMALL_BOUND ** 2:
+                from sympy import isprime  # sympy is loaded on the first such cofactor
+            if m < _SMALL_BOUND ** 2 or isprime(m):
+                parts[m] = []
+                continue
+            root, k = _perfect_power(m)
+            if k > 1:
+                parts[m] = [(root, k)]
+            else:
+                composites.append(m)
+        divisors, steps = _brent_rho(composites, steps)
+        for m, d in divisors.items():
+            parts[m] = [(d, 1), (m // d, 1)]
+        todo = sorted({d for m in todo for d, _ in parts[m] if d not in parts})
+    out = []
+    for v in values:
+        f, m = dict(small[v][0]), small[v][1]
+        stack = [(m, 1)] if m > 1 else []
+        while stack:
+            m, e = stack.pop()
+            if parts[m]:
+                stack += [(d, e * k) for d, k in parts[m]]
+            else:
+                f[m] = f.get(m, 0) + e
+        out.append(dict(sorted(f.items())))
+    return out
+
+
+def _small_part(n: int) -> Tuple[Dict[int, int], int]:
+    """The prime factors of n below 2^12 with their exponents, and the
+    cofactor n has left without them."""
     out: Dict[int, int] = {}
     g = math.gcd(n, _SMALL_PRODUCT)
     for p in _SMALL_PRIMES:
@@ -85,22 +146,7 @@ def factor_int(n: int) -> Dict[int, int]:
             n, out[p] = _strip(n, p)
     if g > 1:
         n, out[g] = _strip(n, g)
-    steps = 0
-    todo = [n] if n > 1 else []
-    while todo:
-        m = todo.pop()
-        if m >= _SMALL_BOUND ** 2:
-            from sympy import isprime  # sympy is loaded on the first such cofactor
-        if m < _SMALL_BOUND ** 2 or isprime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        root, k = _perfect_power(m)
-        if k > 1:
-            todo += [root] * k
-            continue
-        d, steps = _brent_rho(m, steps)
-        todo += [d, m // d]
-    return dict(sorted(out.items()))
+    return out, n
 
 
 def _strip(n: int, p: int) -> Tuple[int, int]:
@@ -127,52 +173,93 @@ def _perfect_power(m: int) -> Tuple[int, int]:
     return m, 1
 
 
-def _brent_rho(n: int, steps: int) -> Tuple[int, int]:
-    """A proper divisor of the odd composite n, and the rho step count so
-    far (carried over the splits of one factor_int call): Brent's cycle
-    search on y -> y^2 + c mod n with the gcds batched over _RHO_BATCH
-    steps. Each loop iteration takes four steps and reduces their product
-    of differences mod n once, so q mod n at every gcd is that of one step
-    at a time. Retracing an overshot batch, at most _RHO_BATCH steps, is
-    not counted."""
-    c = 0
-    while True:
+def _brent_rho(ns: Sequence[int], steps: int) -> Tuple[Dict[int, int], int]:
+    """A proper divisor of each odd composite in ns, and the rho step count
+    so far (carried over the rounds of one _factor_batch call).
+
+    Brent's cycle search on y -> y^2 + c, c = 1 first, walked for several
+    members at once modulo their product N, in groups whose bit lengths sum
+    to at most _RHO_WIDTH. By the CRT, y and q mod a member are those of
+    the member's own walk, so each member splits at the gcd batch where it
+    would alone, and a group's walk takes as many steps as its longest
+    member; each step is charged once, whatever the group's size. A member
+    whose batch overshot (gcd equal to the member) is retraced alone,
+    without charge, and if that fails too it is walked again with c + 1.
+    """
+    found: Dict[int, int] = {}
+    c = 1
+    while ns:
+        retry: List[int] = []
+        group: List[int] = []
+        width = 0
+        for n in ns:
+            if group and width + n.bit_length() > _RHO_WIDTH:
+                steps = _rho_walk(group, c, steps, found, retry)
+                group, width = [], 0
+            group.append(n)
+            width += n.bit_length()
+        steps = _rho_walk(group, c, steps, found, retry)
+        ns = retry
         c += 1
-        y, r, q, g = 2, 1, 1, 1
-        while g == 1:
-            x = y
-            steps = _spend(steps, r, n)
-            for _ in range(r >> 2):
+    return found, steps
+
+
+def _rho_walk(members: List[int], c: int, steps: int, found: Dict[int, int], retry: List[int]) -> int:
+    """One walk of _brent_rho over members with constant c: a split member
+    goes into found, one whose retrace failed into retry, and the step
+    count is returned. The gcds are batched over _RHO_BATCH steps, and each
+    loop iteration takes four steps and reduces their product of
+    differences mod n once, so q mod n at every gcd is that of one step at
+    a time. A member leaves n once it is done."""
+    active = list(members)
+    n = math.prod(active)
+    y, r, q = 2, 1, 1
+    while active:
+        x = y
+        steps = _spend(steps, r, min(active))
+        for _ in range(r >> 2):
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+        for _ in range(r & 3):
+            y = (y * y + c) % n
+        k = 0
+        while k < r and active:
+            ys = y
+            batch = min(_RHO_BATCH, r - k)
+            steps = _spend(steps, batch, min(active))
+            for _ in range(batch >> 2):
+                y1 = (y * y + c) % n
+                y2 = (y1 * y1 + c) % n
+                y3 = (y2 * y2 + c) % n
+                y = (y3 * y3 + c) % n
+                q = q * (x - y1) * (x - y2) * (x - y3) * (x - y) % n
+            for _ in range(batch & 3):
                 y = (y * y + c) % n
-                y = (y * y + c) % n
-                y = (y * y + c) % n
-                y = (y * y + c) % n
-            for _ in range(r & 3):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                batch = min(_RHO_BATCH, r - k)
-                steps = _spend(steps, batch, n)
-                for _ in range(batch >> 2):
-                    y1 = (y * y + c) % n
-                    y2 = (y1 * y1 + c) % n
-                    y3 = (y2 * y2 + c) % n
-                    y = (y3 * y3 + c) % n
-                    q = q * (x - y1) * (x - y2) * (x - y3) * (x - y) % n
-                for _ in range(batch & 3):
-                    y = (y * y + c) % n
-                    q = q * (x - y) % n
-                g = math.gcd(q, n)
-                k += batch
-            r *= 2
-        if g == n:  # the batch overshot: retrace it one gcd at a time
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(x - ys, n)
-        if g != n:
-            return g, steps
+                q = q * (x - y) % n
+            k += batch
+            g = math.gcd(q, n)
+            if g == 1:
+                continue
+            for m in list(active):
+                d = math.gcd(g, m)
+                if d == 1:
+                    continue
+                if d == m:  # the batch overshot: retrace it one gcd at a time
+                    d, xm, ym = 1, x % m, ys % m
+                    while d == 1:
+                        ym = (ym * ym + c) % m
+                        d = math.gcd(xm - ym, m)
+                if d == m:
+                    retry.append(m)
+                else:
+                    found[m] = d
+                active.remove(m)
+                n //= m
+            x, y, q = x % n, y % n, q % n
+        r *= 2
+    return steps
 
 
 def _spend(steps: int, k: int, n: int) -> int:
@@ -189,8 +276,8 @@ def factor_rational(x: Fraction) -> FactoredRational:
     if x == 0:
         raise DomainError("cannot factor zero")
     sign = -1 if x < 0 else 1
-    exps = factor_int(abs(x.numerator))
-    for p, e in factor_int(x.denominator).items():
+    exps, den = _factor_batch([abs(x.numerator), x.denominator])
+    for p, e in den.items():
         exps[p] = -e  # numerator and denominator are coprime
     return FactoredRational(sign, tuple(sorted(exps.items())))
 
@@ -202,16 +289,6 @@ def _check_point(P: Sequence[Fraction]) -> PointQ:
     if any(x == 0 for x in pt):
         raise DomainError("point coordinates must be nonzero")
     return pt
-
-
-def _exponent_matrix(pt: PointQ) -> Tuple[Tuple[int, ...], List[int], IntMatrix]:
-    """The coordinates' signs, the primes dividing them (increasing), and A:
-    one row per coordinate, holding its exponent at each of those primes."""
-    facs = [factor_rational(x) for x in pt]
-    primes = sorted({p for f in facs for p, _ in f.exponents})
-    exps = [dict(f.exponents) for f in facs]
-    A = IntMatrix([[e.get(p, 0) for p in primes] for e in exps])
-    return tuple(f.sign for f in facs), primes, A
 
 
 def coprime_base(values: Iterable[int]) -> List[int]:
@@ -234,13 +311,10 @@ def coprime_base(values: Iterable[int]) -> List[int]:
     return sorted(base)
 
 
-def independent_over_coprime_base(products: Sequence[Sequence[Tuple[int, int]]]) -> bool:
-    """Whether the positive rationals prod(v ** k for v, k in product), one
-    per product, are multiplicatively independent (every v a positive
-    integer). Their exponent vectors over the coprime base of all the v
-    have rank len(products) iff so: pairwise coprime integers > 1 are
-    multiplicatively independent, so this rank is the rank over the
-    primes. No factoring."""
+def _coprime_rows(products: Sequence[Sequence[Tuple[int, int]]]) -> Tuple[List[int], List[List[int]]]:
+    """The coprime base of all the positive integers v in the products, and
+    one row per product: at each base element b, the sum of k * e over its
+    (v, k) pairs, where b ** e exactly divides v. No factoring."""
     base = coprime_base(v for product in products for v, _ in product)
     rows = []
     for product in products:
@@ -253,26 +327,55 @@ def independent_over_coprime_base(products: Sequence[Sequence[Tuple[int, int]]])
                     v, e = _strip(v, b)
                     row[j] += k * e
         rows.append(row)
-    return rank(rows) == len(products)
+    return base, rows
+
+
+def _point_rows(pt: PointQ) -> Tuple[List[int], List[List[int]]]:
+    """_coprime_rows of the |x_i|, each x_i as |numerator| / denominator."""
+    return _coprime_rows([((abs(x.numerator), 1), (x.denominator, -1)) for x in pt])
+
+
+def _prime_matrix(base: List[int], rows: List[List[int]]) -> Tuple[List[int], IntMatrix]:
+    """The primes dividing the base elements (increasing), and A: one row
+    per coordinate, holding its exponent at each of those primes. Each
+    base element is factored once, all in one batch; as the elements are
+    pairwise coprime, a prime p divides exactly one of them, b_j, and
+    A[i][p] = rows[i][j] * v_p(b_j)."""
+    owners = sorted(
+        (p, j, e) for j, f in enumerate(_factor_batch(base)) for p, e in f.items()
+    )
+    return [p for p, _, _ in owners], IntMatrix([[row[j] * e for _, j, e in owners] for row in rows])
+
+
+def independent_over_coprime_base(products: Sequence[Sequence[Tuple[int, int]]]) -> bool:
+    """Whether the positive rationals prod(v ** k for v, k in product), one
+    per product, are multiplicatively independent (every v a positive
+    integer). Their exponent vectors over the coprime base of all the v
+    have rank len(products) iff so: pairwise coprime integers > 1 are
+    multiplicatively independent, so this rank is the rank over the
+    primes. No factoring."""
+    return rank(_coprime_rows(products)[1]) == len(products)
 
 
 def relation_lattice(P: Sequence[Fraction]) -> LatticeBasis:
     """Basis of {a in Z^n : prod(P[i] ** a[i]) == 1}.
 
-    A point whose |x_i| independent_over_coprime_base finds independent
-    gets the zero lattice without any prime factoring (a relation among
-    the x_i would square to one among the |x_i|).
-    Otherwise the left kernel of the prime-exponent matrix A handles
-    absolute values; the sign condition is a parity functional on that
+    The |x_i| get exponent rows over the coprime base of their numerators
+    and denominators. Rank n there means an independent point, which gets
+    the zero lattice without any prime factoring (a relation among the x_i
+    would square to one among the |x_i|). Otherwise each base element is
+    factored once, the left kernel of the prime-exponent matrix A handles
+    absolute values, and the sign condition is a parity functional on that
     kernel, cutting out a sublattice of index at most 2.
     """
     pt = _check_point(P)
     n = len(pt)
-    if independent_over_coprime_base([((abs(x.numerator), 1), (x.denominator, -1)) for x in pt]):
+    base, rows = _point_rows(pt)
+    if rank(rows) == n:
         return LatticeBasis(n, ())
-    signs, _, A = _exponent_matrix(pt)
+    _, A = _prime_matrix(base, rows)
     vecs = list(left_kernel(A))
-    odd = [i for i, v in enumerate(vecs) if sum(x for x, s in zip(v, signs) if s < 0) % 2]
+    odd = [i for i, v in enumerate(vecs) if sum(a for a, x in zip(v, pt) if x < 0) % 2]
     if odd:
         pivot = odd[0]
         for i in odd[1:]:
@@ -307,11 +410,13 @@ class Decomposition:
 def decompose(P: Sequence[Fraction]) -> Decomposition:
     """Torsion/free decomposition of the group generated by the coordinates.
 
-    The generators are the nonzero rows of the HNF of the prime-exponent
-    matrix, and each coordinate's exponent row comes from back-substitution
-    against those rows at their pivot columns.
+    The primes come from factoring each element of the coordinates' coprime
+    base once. The generators are the nonzero rows of the HNF of the
+    prime-exponent matrix, and each coordinate's exponent row comes from
+    back-substitution against those rows at their pivot columns.
     """
-    signs, primes, A = _exponent_matrix(_check_point(P))
+    pt = _check_point(P)
+    primes, A = _prime_matrix(*_point_rows(pt))
     h, _ = hnf(A)
     gen_rows = [row for row in h.entries if any(row)]
     pivots = [next(j for j, x in enumerate(row) if x) for row in gen_rows]
@@ -332,7 +437,7 @@ def decompose(P: Sequence[Fraction]) -> Decomposition:
         assert not any(residual)
         exp_rows.append(coords)
     return Decomposition(
-        signs=signs,
+        signs=tuple(-1 if x < 0 else 1 for x in pt),
         generators=tuple(generators),
         exponents=IntMatrix(exp_rows),
     )

@@ -191,6 +191,10 @@ def test_int_nth_root():
     assert int_nth_root(64, 3) == 4
     assert int_nth_root(65, 3) is None
     assert int_nth_root(10 ** 60, 4) == 10 ** 15
+    # past the float range, and m past the bits of a float's exponent
+    b = 3 ** 500 + 2
+    assert int_nth_root(b ** 7, 7) == b and int_nth_root(b ** 7 + 1, 7) is None
+    assert int_nth_root(5 ** 1201, 1201) == 5 and int_nth_root(5 ** 1201 - 1, 1201) is None
     # seeded against sympy: 0, 1, powers b**m and their neighbours, random x
     rng = random.Random(12)
     for m in range(1, 71):

@@ -1,6 +1,6 @@
-"""Integer factoring by factor_int (small-prime gcd, Brent rho, a step
-budget) against sympy.factorint, and the rho steps it charges; the coprime
-base; the rank-first relation lattice against relation_oracle, the prime
+"""Integer factoring by factor_int and by the batch behind it (small-prime
+gcd, Brent rho walked over several cofactors at once, a step budget)
+against sympy.factorint, and the rho steps it charges; the coprime base; the rank-first relation lattice against relation_oracle, the prime
 route alone; and decompose against decompose_oracle."""
 import functools
 import importlib.util
@@ -140,6 +140,60 @@ def test_budget_bites_at_the_pinned_step_count(monkeypatch, n, calls, steps):
         factor_int(n)
 
 
+# semiprimes whose walk from c = 1 overshoots a gcd batch (g equals the
+# member): the first is split by retracing the batch, the second only by
+# the walk with c = 2
+RETRACED = 4099 * 4129
+RETRIED = 4099 * 4273
+
+
+def test_batch_matches_sympy_in_input_order():
+    rng = random.Random(14)
+    big = [sympy.nextprime(rng.randrange(1 << 24, 1 << 40)) for _ in range(4)]
+    powers = [sympy.nextprime(10 ** 20) ** 2, sympy.nextprime(10 ** 21) ** 3 * 12]
+    special = [1, 1, RETRACED, RETRIED, 3 * RETRACED, *big, *powers, big[0] * big[1], RETRACED]
+    for _ in range(40):
+        values = [rng.randrange(1, 10 ** rng.randint(1, 22)) for _ in range(rng.randint(0, 8))]
+        values += rng.sample(special, rng.randint(0, 4))
+        values += rng.sample(values, min(len(values), 2))  # duplicates
+        rng.shuffle(values)
+        assert multdep._factor_batch(values) == [_sympy(v) for v in values]
+    assert multdep._factor_batch([]) == []
+
+
+def test_batch_charges_its_longest_walk(monkeypatch):
+    spent = _spy_on_spend(monkeypatch)
+    values = [n for n, _, _ in RHO_CHARGES]
+    assert multdep._factor_batch(values) == [_sympy(n) for n in values]
+    assert (len(spent), sum(spent)) == max((calls, steps) for _, calls, steps in RHO_CHARGES)
+
+
+def test_batch_budget_bites_at_its_longest_walk(monkeypatch):
+    values = [n for n, _, _ in RHO_CHARGES]
+    longest = max(steps for _, _, steps in RHO_CHARGES)
+    monkeypatch.setattr(multdep, "MAX_RHO_STEPS", longest)
+    assert multdep._factor_batch(values) == [_sympy(n) for n in values]
+    monkeypatch.setattr(multdep, "MAX_RHO_STEPS", longest - 1)
+    with pytest.raises(DomainError, match="integer factoring budget exceeded"):
+        multdep._factor_batch(values)
+
+
+def test_overshot_members_split_as_alone(monkeypatch):
+    spent = _spy_on_spend(monkeypatch)
+    alone = []
+    for n in (RETRACED, RETRIED):
+        spent.clear()
+        assert factor_int(n) == _sympy(n)
+        alone.append(sum(spent))
+    # both overshoot in the gcd batch after 126 steps; RETRIED walks again
+    assert alone == [126, 126 + 126]
+    spent.clear()
+    values = [RETRACED, RETRIED, 1000003 * 1000000007]
+    assert multdep._factor_batch(values) == [_sympy(n) for n in values]
+    # the c = 1 walk charges its longest member, the c = 2 walk RETRIED's
+    assert sum(spent) == 3198 + 126
+
+
 def test_perfect_power_of_a_large_prime_needs_no_rho(monkeypatch):
     p = sympy.nextprime(10 ** 20)
     monkeypatch.setattr(multdep, "MAX_RHO_STEPS", 0)
@@ -253,15 +307,31 @@ def test_special_points_match_oracle(point):
     assert relation_lattice(point) == relation_oracle(point)
 
 
+def _spy_on_batches(monkeypatch):
+    batches = []
+    real = multdep._factor_batch
+    monkeypatch.setattr(multdep, "_factor_batch", lambda values: batches.append(list(values)) or real(values))
+    return batches
+
+
 def test_independent_point_is_not_factored(monkeypatch):
-    calls = []
-    real = multdep.factor_int
-    monkeypatch.setattr(multdep, "factor_int", lambda n: calls.append(n) or real(n))
+    calls = _spy_on_batches(monkeypatch)
     assert relation_lattice((F(6), F(-35, 11), F(1000003))).is_zero()
     assert is_primitively_dependent((F(6), F(10))) is None
     assert calls == []
     assert not relation_lattice((F(6), F(-36))).is_zero()
     assert calls
+
+
+def test_dependent_point_factors_each_base_element_once(monkeypatch):
+    calls = _spy_on_batches(monkeypatch)
+    assert not relation_lattice((F(6), F(-36))).is_zero()
+    assert calls == [[6]]
+    calls.clear()
+    # x5 = x4^2 * x1
+    point = (F(12, 35), F(-18, 49), F(5, 6), F(7 * BIG_P, 2), F(21 * BIG_P ** 2, 5))
+    assert not relation_lattice(point).is_zero()
+    assert calls == [coprime_base([12, 35, 18, 49, 5, 6, 7 * BIG_P, 2, 21 * BIG_P ** 2, 5])]
 
 
 def test_huge_independent_point_answers_fast():
@@ -276,6 +346,16 @@ def test_huge_decompose_hits_the_budget(capsys):
     assert main(["decompose", "--point", f"{HUGE},2"]) == 2
     assert time.perf_counter() - start < 10.0
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_four_huge_composites_decompose_hits_the_budget(capsys):
+    # each a product of two primes of 159-161 bits: too wide to share a walk
+    composites = [sympy.nextprime(2 ** 157 * (3 + i)) * sympy.nextprime(2 ** 157 * (7 + i)) for i in range(4)]
+    assert all(310 <= c.bit_length() <= 320 for c in composites)
+    start = time.perf_counter()
+    assert main(["decompose", "--point", ",".join(map(str, composites))]) == 2
+    assert time.perf_counter() - start < 10.0
+    assert capsys.readouterr().err.startswith("error: integer factoring budget exceeded")
 
 
 # ---------------------------------------------------------------------------
