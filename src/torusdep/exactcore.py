@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, List, Optional, Sequence
 
 from .errors import DomainError
 
@@ -30,7 +30,9 @@ class Poly:
     Poly('t^2 + 1')
     """
 
-    __slots__ = ("coeffs",)
+    # _str holds the rendering once str() has made it; it is set only
+    # through object.__setattr__, and equality and hashing read coeffs alone
+    __slots__ = ("coeffs", "_str")
 
     def __init__(self, coeffs: Iterable = ()):
         cs = [_frac(c) for c in coeffs]
@@ -158,17 +160,12 @@ class Poly:
         return divmod(self, other)[1]
 
     def shift(self, a) -> "Poly":
-        """p(t + a) by an integer Taylor shift, O(deg**2): with
-        p = sum N_j t**j / D and a = u/v, p(t + a) = R(v*t) / (D * v**deg),
-        where R is sum N_j v**(deg - j) y**j shifted by the integer u."""
-        k = self.degree
-        u, v = _frac(a).as_integer_ratio()
+        """p(t + a), from int_shift of p's coefficients over their common
+        denominator D: with a = u/v, that gives v**deg * D * p(t + a)."""
         D = math.lcm(*(c.denominator for c in self.coeffs))
-        r = [c.numerator * (D // c.denominator) * v ** (k - j) for j, c in enumerate(self.coeffs)]
-        for i in range(k):
-            for j in range(k - 1, i - 1, -1):
-                r[j] += u * r[j + 1]
-        return Poly([Fraction(x, D * v ** (k - j)) for j, x in enumerate(r)])
+        scale = D * _frac(a).denominator ** max(self.degree, 0)
+        cs = [c.numerator * (D // c.denominator) for c in self.coeffs]
+        return Poly([Fraction(x, scale) for x in int_shift(cs, a)])
 
     def divides(self, other: "Poly") -> bool:
         if self.is_zero():
@@ -182,8 +179,12 @@ class Poly:
         return acc
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
+        """The rendering, from the top coefficient down (t^2 - 3/2*t + 1);
+        made on the first call and kept in the _str slot."""
+        try:
+            return self._str
+        except AttributeError:
+            pass
         parts = []
         for i in range(len(self.coeffs) - 1, -1, -1):
             c = self.coeffs[i]
@@ -200,7 +201,9 @@ class Poly:
                 parts.append(body if c > 0 else f"-{body}")
             else:
                 parts.append(f" {sign} {body}")
-        return "".join(parts)
+        text = "".join(parts) or "0"
+        object.__setattr__(self, "_str", text)
+        return text
 
     def __repr__(self):
         return f"Poly('{self}')"
@@ -210,6 +213,22 @@ def _as_poly(x) -> Poly:
     if isinstance(x, Poly):
         return x
     return Poly([_frac(x)])
+
+
+def int_shift(cs: Sequence[int], a) -> List[int]:
+    """The integer coefficients of v**k * c(t + a), for c of degree k with
+    the integer coefficients cs (constant term first) and a = u/v in
+    lowest terms, by the Horner-type integer Taylor shift (von zur Gathen
+    and Gerhard, ISSAC 1997) in O(k**2) multiply-adds:
+    R = sum c_j v**(k - j) y**j shifted by the integer u gives
+    R(v*t) = v**k * c(t + a), whose j-th coefficient is R_j v**j."""
+    u, v = _frac(a).as_integer_ratio()
+    k = len(cs) - 1
+    r = [c * v ** (k - j) for j, c in enumerate(cs)]
+    for i in range(k):
+        for j in range(k - 1, i - 1, -1):
+            r[j] += u * r[j + 1]
+    return [x * v ** j for j, x in enumerate(r)]
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -321,7 +340,7 @@ class RatFunc:
         return self.num(x) / d
 
     def __str__(self):
-        if self.den == Poly([1]):
+        if self.den.coeffs == (1,):
             return str(self.num)
         return f"({self.num})/({self.den})"
 

@@ -19,7 +19,7 @@ from .curvegeom import (
     two_point_divisor,
 )
 from .errors import DomainError, InvariantViolation
-from .exactcore import Poly, cyclotomic_poly, factor_key, factor_poly, nth_power_in_Q
+from .exactcore import Poly, cyclotomic_poly, factor_key, factor_poly, int_shift, nth_power_in_Q
 from .intlattice import primitive_witness, rank
 from .multdep import (
     independent_over_coprime_base,
@@ -34,6 +34,10 @@ MAX_FIBER_DEGREE = 4096
 # Budget on the degree m*phi(d) of Phi_d(c * s**m) when c is not +-b**m and
 # factor_poly must factor it.
 MAX_FALLBACK_DEGREE = 64
+# Budget on the scan height H: the scan visits about 2*H**2 parameters.
+# Whole analyze calls on t*(t+1); (t-2)/(t+3); t-5 took 1.1 s at H = 400
+# and 5.0 s at H = 1000 on a shared 2-vCPU VM.
+MAX_SCAN_HEIGHT = 1000
 
 
 @dataclass(frozen=True)
@@ -44,6 +48,8 @@ class AnalysisConfig:
     def __post_init__(self):
         if min(self.torsion_order_bound, self.scan_height_bound) < 1:
             raise DomainError("all bounds must be at least 1")
+        if self.scan_height_bound > MAX_SCAN_HEIGHT:
+            raise DomainError(f"scan height {self.scan_height_bound} exceeds {MAX_SCAN_HEIGHT}")
 
 
 @dataclass(frozen=True)
@@ -72,13 +78,14 @@ def _cyclotomic_factors(curve: CurveData, ch: NormalizedCharacter, d: int) -> Li
     """Minimal polynomials of the t where the character ch is a primitive
     d-th root of unity and every coordinate is finite and nonzero.
 
-    In its normal form c * s**m, s = L_P/L_Q, take the monic irreducible
-    factors h of Phi_d(c * s**m): for c = eps * b**m (b > 0, eps = +-1) the
-    monic Phi_e(b*s) over the e | m*d2 with e/gcd(e, m) = d2, the order of
-    eps * zeta_d; otherwise by factor_poly, or DomainError when the degree
-    m*phi(d) exceeds MAX_FALLBACK_DEGREE. Each h maps back to
-    L_Q**deg(h) * h(L_P/L_Q). A constant image is the root t = inf and is
-    dropped; the others are kept, monic, iff not a place of the curve.
+    In its normal form c * s**m, s = L_P/L_Q, take the irreducible factors
+    h of Phi_d(c * s**m): for c = eps * b**m (b = u/v > 0, eps = +-1) the
+    Phi_e(b*s) over the e | m*d2 with e/gcd(e, m) = d2, the order of
+    eps * zeta_d, each as the integer coefficients of v**k * Phi_e(b*s);
+    otherwise the factor_poly factors with their denominators cleared, or
+    DomainError when the degree m*phi(d) exceeds MAX_FALLBACK_DEGREE. Each
+    h goes through _map_back once. A constant image is the root t = inf
+    and is dropped; the others are kept iff not a place of the curve.
     """
     m, c = ch.m, ch.c
     b = nth_power_in_Q(abs(c), m)
@@ -89,28 +96,46 @@ def _cyclotomic_factors(curve: CurveData, ch: NormalizedCharacter, d: int) -> Li
             raise DomainError(f"a fiber to factor of degree {degree} exceeds {MAX_FALLBACK_DEGREE}")
         sparse = [Fraction(0)] * (degree + 1)
         sparse[::m] = [x * c ** k for k, x in enumerate(cs)]
-        hs = [h for h, _mult in factor_poly(Poly(sparse))[1]]
+        hs = []
+        for h, _mult in factor_poly(Poly(sparse))[1]:
+            D = math.lcm(*(x.denominator for x in h.coeffs))
+            hs.append([x.numerator * (D // x.denominator) for x in h.coeffs])
     else:
         d2 = d if c > 0 or d % 4 == 0 else d // 2 if d % 2 == 0 else 2 * d
-        hs = [
-            Poly([x * b ** j for j, x in enumerate(cyclotomic_poly(e).coeffs)]).monic()
-            for e in range(1, m * d2 + 1)
-            if m * d2 % e == 0 and e // math.gcd(e, m) == d2
-        ]
+        u, v = b.as_integer_ratio()
+        hs = []
+        for e in range(1, m * d2 + 1):
+            if m * d2 % e == 0 and e // math.gcd(e, m) == d2:
+                phi = cyclotomic_poly(e).coeffs
+                k = len(phi) - 1
+                hs.append([x.numerator * u ** j * v ** (k - j) for j, x in enumerate(phi)])
     places = set(curve.place_index)
-    images = [_map_back(h, ch).monic() for h in hs]
+    images = [_map_back(h, ch) for h in hs]
     return [q for q in images if q.degree > 0 and Place.finite(q) not in places]
 
 
-def _map_back(h: Poly, ch: NormalizedCharacter) -> Poly:
-    """L_Q**k * h(L_P/L_Q) for h of degree k (L_X = t - x, L_inf = 1). With
-    w = t - q, L_P/L_Q is 1 + delta/w (delta = q - p) or 1/w (P = inf), so
-    the image is sum g_j delta**j w**(k - j), g = h(1 + s) or h, in t - q."""
+def _map_back(h: List[int], ch: NormalizedCharacter) -> Poly:
+    """The monic L_Q**k * h(L_P/L_Q), for h of degree k given by its
+    integer coefficients (L_X = t - x, L_inf = 1). With w = t - q, L_P/L_Q
+    is 1 + delta/w (delta = q - p) or 1/w (P = inf), so the image is
+    sum g_j delta**j w**(k - j), g = h(1 + s) or h, in t - q. Every step
+    stays in integers, up to a nonzero constant factor (int_shift's
+    denominator power, delta's denominator**k) that the final division by
+    the leading coefficient removes."""
     if ch.Q.is_infinity:
-        return h.shift(-ch.P.rational_root())
-    q = ch.Q.rational_root()
-    g, delta = (h, 1) if ch.P.is_infinity else (h.shift(1), q - ch.P.rational_root())
-    return Poly(reversed([x * delta ** j for j, x in enumerate(g.coeffs)])).shift(-q)
+        image = int_shift(h, -ch.P.rational_root())
+    else:
+        q = ch.Q.rational_root()
+        if ch.P.is_infinity:
+            g, (dn, dd) = h, (1, 1)
+        else:
+            g, (dn, dd) = int_shift(h, 1), (q - ch.P.rational_root()).as_integer_ratio()
+        k = len(g) - 1
+        w = [x * dn ** j * dd ** (k - j) for j, x in enumerate(g)][::-1]
+        while not w[-1]:  # a zero g_0 lowers the degree: that root of h is t = inf
+            w.pop()
+        image = int_shift(w, -q)
+    return Poly([Fraction(x, image[-1]) for x in image])
 
 
 def _order_fiber(by_divisor: Dict[int, List[Poly]], N: int) -> Tuple[Poly, ...]:
@@ -142,8 +167,10 @@ def torsion_fiber(curve: CurveData, a: Sequence[int], N: int) -> Tuple[Poly, ...
 
     The restriction is c * s**m in s = L_P/L_Q, and the fiber is the union
     over d | N of the _cyclotomic_factors of d, of total degree at most
-    m*N; those of different d have disjoint roots and are merged in
-    factor_poly order. Raises what CurveData.require_proper raises, and
+    m*N; each factor is built in integers and mapped back once, and those
+    of different d have disjoint roots and are merged in factor_poly order
+    (analyze orders each +-a pair's fibers once and shares the tuples
+    between a and -a). Raises what CurveData.require_proper raises, and
     DomainError when m*N exceeds MAX_FIBER_DEGREE, checked before c is
     built, or a polynomial to factor exceeds MAX_FALLBACK_DEGREE.
     """
@@ -391,20 +418,21 @@ def analyze(curve_text: str, config: AnalysisConfig = AnalysisConfig()) -> Repor
     bound, and the bounded-height dependence scan."""
     curve = parse_curve(curve_text).require_proper()
     phi = tuple(phi_enumerate(curve))
-    # One table per +-a pair: a and -a have the same fibers.
+    # One list of ordered fibers per +-a pair: a and -a have the same fibers,
+    # and the entries of both share its tuples (and so their renderings).
     bound = config.torsion_order_bound
     m = max((ch.m for ch in phi), default=0)
     if m:
         _require_fiber_budget(m, bound)  # sum(phi(d)) >= bound: keeps the sieve small
         _require_fiber_budget(m, _totient_sum(bound))
-    tables: Dict[Character, Dict[int, List[Poly]]] = {}
+    ordered: Dict[Character, List[Tuple[Poly, ...]]] = {}
     fibers = []
     for ch in phi:
         key = max(ch.a, tuple(-x for x in ch.a))
-        if key not in tables:
-            tables[key] = {d: _cyclotomic_factors(curve, ch, d) for d in range(1, bound + 1)}
-        for order in range(1, bound + 1):
-            fibers.append((ch.a, order, _order_fiber(tables[key], order)))
+        if key not in ordered:
+            by_divisor = {d: _cyclotomic_factors(curve, ch, d) for d in range(1, bound + 1)}
+            ordered[key] = [_order_fiber(by_divisor, order) for order in range(1, bound + 1)]
+        fibers.extend((ch.a, order, fiber) for order, fiber in enumerate(ordered[key], 1))
     scan = tuple(scan_dependent(curve, config, phi))
     return Report(
         curve_text=tuple(str(f) for f in curve.coords),

@@ -340,7 +340,14 @@ def _prime_matrix(base: List[int], rows: List[List[int]]) -> Tuple[List[int], In
     per coordinate, holding its exponent at each of those primes. Each
     base element is factored once, all in one batch; as the elements are
     pairwise coprime, a prime p divides exactly one of them, b_j, and
-    A[i][p] = rows[i][j] * v_p(b_j)."""
+    A[i][p] = rows[i][j] * v_p(b_j). A base of one element b is not
+    factored: [b] and A = rows stand for the primes. Each prime's column
+    would be a positive multiple of that one column, and scaling a column
+    by a positive integer changes none of hnf's row operations, so the
+    kernel, the HNF rows and each generator prod(b ** h) come out the
+    same."""
+    if len(base) == 1:
+        return base, IntMatrix(rows)
     owners = sorted(
         (p, j, e) for j, f in enumerate(_factor_batch(base)) for p, e in f.items()
     )
@@ -411,7 +418,7 @@ def decompose(P: Sequence[Fraction]) -> Decomposition:
     """Torsion/free decomposition of the group generated by the coordinates.
 
     The primes come from factoring each element of the coordinates' coprime
-    base once. The generators are the nonzero rows of the HNF of the
+    base once (a base of one element stands for its primes unfactored). The generators are the nonzero rows of the HNF of the
     prime-exponent matrix, and each coordinate's exponent row comes from
     back-substitution against those rows at their pivot columns.
     """

@@ -14,7 +14,9 @@ divisor matrix and c from leading coefficients. compose substitutes one
 rational function into another in sympy.Poly alone, so no oracle composes
 with the library's own arithmetic. power_fiber_oracle factors the numerator
 of phi**N - 1 instead of mapping cyclotomic factors of the normal form back
-through the Moebius change, cyclotomic_poly_oracle divides t**n - 1 by
+through the Moebius change, map_back_oracle maps a factor back
+through the Moebius change with Poly.shift over Fractions instead of on
+integer coefficient lists, cyclotomic_poly_oracle divides t**n - 1 by
 every Phi_d instead of building Phi_n from its radical, and
 decompose_oracle solves each coordinate's exponent row with
 express_in_basis (its own HNF and transform) over the sympy-factored prime
@@ -430,6 +432,18 @@ def power_fiber_oracle(curve: CurveData, a: Sequence[int], N: int) -> List[Poly]
         for q, _mult in factor_poly(g.num)[1]
         if not any(q.divides(f.num) or q.divides(f.den) for f in curve.coords)
     ]
+
+
+def map_back_oracle(h: Poly, ch: NormalizedCharacter) -> Poly:
+    """L_Q**k * h(L_P/L_Q) for h of degree k (L_X = t - x, L_inf = 1), in
+    Fractions: with w = t - q, L_P/L_Q is 1 + delta/w (delta = q - p) or
+    1/w (P = inf), so the image is sum g_j delta**j w**(k - j), g = h(1 + s)
+    or h, in t - q. Test use only."""
+    if ch.Q.is_infinity:
+        return h.shift(-ch.P.rational_root())
+    q = ch.Q.rational_root()
+    g, delta = (h, 1) if ch.P.is_infinity else (h.shift(1), q - ch.P.rational_root())
+    return Poly(reversed([x * delta ** j for j, x in enumerate(g.coeffs)])).shift(-q)
 
 
 def cyclotomic_poly_oracle(n: int) -> Poly:

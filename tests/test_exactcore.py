@@ -17,6 +17,7 @@ from torusdep.exactcore import (
     nth_power_in_Q,
     poly_gcd,
 )
+from torusdep.parser import parse_expression
 
 T = Poly.variable()
 
@@ -171,6 +172,33 @@ def test_shift_is_composition_with_t_plus_a():
         for c in reversed(p.coeffs):
             composed = composed * (T + a) + c
         assert p.shift(a) == composed, (p, a)
+
+
+def test_str_is_made_once_and_reads_back():
+    """The first str() is kept and returned again; both equal the rendering
+    of a freshly built equal Poly, and parse back to the same polynomial."""
+    rng = random.Random(7)
+    for _ in range(200):
+        cs = [F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(rng.randint(0, 7))]
+        p = Poly(cs)
+        first = str(p)
+        assert str(p) is first
+        assert first == str(Poly(cs))
+        assert repr(p) == f"Poly('{first}')"
+        assert parse_expression(first) == RatFunc(p), first
+        assert p == Poly(cs) and hash(p) == hash(Poly(cs))
+    assert str(Poly()) == "0" and str(Poly([0, F(-3, 2), 1])) == "t^2 - 3/2*t"
+
+
+def test_poly_stays_immutable():
+    p = Poly([1, 2])
+    for rendered in (False, True):
+        if rendered:
+            str(p)
+        for name in ("coeffs", "_str", "other"):
+            with pytest.raises(AttributeError):
+                setattr(p, name, "t")
+        assert p.coeffs == (1, 2) and str(p) == "2*t + 1"
 
 
 def test_monomial_product_examples():

@@ -319,14 +319,15 @@ def test_independent_point_is_not_factored(monkeypatch):
     assert relation_lattice((F(6), F(-35, 11), F(1000003))).is_zero()
     assert is_primitively_dependent((F(6), F(10))) is None
     assert calls == []
-    assert not relation_lattice((F(6), F(-36))).is_zero()
+    # base {2, 3, 5}: a one-element base is not factored at all
+    assert not relation_lattice((F(6), F(-36), F(10))).is_zero()
     assert calls
 
 
 def test_dependent_point_factors_each_base_element_once(monkeypatch):
     calls = _spy_on_batches(monkeypatch)
     assert not relation_lattice((F(6), F(-36))).is_zero()
-    assert calls == [[6]]
+    assert calls == []  # base {6}: one element stands for its primes
     calls.clear()
     # x5 = x4^2 * x1
     point = (F(12, 35), F(-18, 49), F(5, 6), F(7 * BIG_P, 2), F(21 * BIG_P ** 2, 5))
@@ -390,6 +391,44 @@ DECOMPOSE_POINTS = SPECIAL_POINTS + [
 @pytest.mark.parametrize("point", DECOMPOSE_POINTS, ids=str)
 def test_decompose_matches_oracle(point):
     _same_decomposition(point)
+
+
+def test_one_element_base_answers_without_factoring(monkeypatch):
+    """(N, -N) has base {N}, which proves the relation: sympy.factorint
+    takes over a minute on N = HUGE and rho exceeds its budget."""
+    calls = _spy_on_batches(monkeypatch)
+    point = (F(HUGE), F(-HUGE))
+    start = time.perf_counter()
+    assert relation_lattice(point).vectors == ((2, -2),)
+    assert is_primitively_dependent(point) is None
+    d = decompose(point)
+    assert time.perf_counter() - start < 1.0
+    assert calls == []
+    assert (d.signs, d.generators, d.exponents.entries) == ((1, -1), (HUGE,), ((1,), (1,)))
+
+
+def _one_element_base_points(seed):
+    """Seeded points whose coprime base is one composite b: signed powers
+    of b, with b = 12, 36, 6, 10, 30, 72 or 2**3 * 7**2."""
+    rng = random.Random(seed)
+    points = [(F(36), F(6)), (F(6), F(36)), (F(12), F(-144)), (F(1, 12), F(12 ** 5))]
+    for _ in range(60):
+        b = rng.choice([12, 36, 6, 10, 30, 72, 2 ** 3 * 7 ** 2])
+        n = rng.randint(2, 4)
+        points.append(tuple(
+            F(rng.choice([-1, 1])) * F(b) ** rng.choice([x for x in range(-6, 7) if x]) for _ in range(n)
+        ))
+    return points
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_one_element_base_points_match_oracles(monkeypatch, seed):
+    calls = _spy_on_batches(monkeypatch)
+    for point in _one_element_base_points(seed):
+        assert len(coprime_base(v for x in point for v in (abs(x.numerator), x.denominator))) == 1
+        assert relation_lattice(point) == relation_oracle(point)
+        _same_decomposition(point)
+    assert calls == []
 
 
 def test_all_unit_point_has_rank_zero():

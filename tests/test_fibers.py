@@ -1,14 +1,19 @@
 """Torsion fibers against power_fiber_oracle, which factors the numerator
 of phi**N - 1 directly: on the curves of the analyze benchmark, and on
-curves that reach every branch of the normal-form route."""
+curves that reach every branch of the normal-form route. The integer
+map-back against map_back_oracle, which maps a factor back in Fractions."""
 import hashlib
+import math
+import random
 import time
+from fractions import Fraction as F
 
 import pytest
-from oracles import power_fiber_oracle
+from oracles import map_back_oracle, power_fiber_oracle
 
 from torusdep import explorer
-from torusdep.curvegeom import phi_enumerate
+from torusdep.curvegeom import NormalizedCharacter, Place, phi_enumerate
+from torusdep.exactcore import Poly, cyclotomic_poly, factor_poly
 from torusdep.explorer import AnalysisConfig, analyze, parse_curve, torsion_fiber
 
 CURVES = (
@@ -116,3 +121,57 @@ def test_dense_fiber_is_fast():
     assert sum(q.degree for q in fiber) == 239
     text = "\n".join(str(q) for q in fiber)
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == "1d6970e00b58bf3b"
+
+
+def _random_places(rng):
+    """P != Q, each at infinity or a finite rational root of denominator
+    at most 7, wrapped in a NormalizedCharacter (map-back reads P and Q)."""
+    def place():
+        if rng.random() < 0.25:
+            return Place.INFINITY
+        return Place.finite(Poly([-F(rng.randint(-12, 12), rng.randint(1, 7)), 1]))
+
+    P, Q = place(), place()
+    while Q == P:
+        Q = place()
+    return NormalizedCharacter(a=(1, -1), P=P, Q=Q, m=1, c=F(1), realizable_cyclotomic=False)
+
+
+def test_map_back_matches_oracle_on_cyclotomic_factors():
+    """h = v**k * Phi_e(b*s), b = u/v, against the oracle on Phi_e(b*s)."""
+    rng = random.Random(15)
+    for _ in range(300):
+        ch = _random_places(rng)
+        e = rng.randint(1, 40)
+        b = F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 7))
+        u, v = b.as_integer_ratio()
+        phi = cyclotomic_poly(e).coeffs
+        k = len(phi) - 1
+        h = [x.numerator * u ** j * v ** (k - j) for j, x in enumerate(phi)]
+        expected = map_back_oracle(Poly([x * b ** j for j, x in enumerate(phi)]), ch).monic()
+        assert explorer._map_back(h, ch) == expected, (e, b, ch.P, ch.Q)
+
+
+def test_map_back_matches_oracle_on_rational_factors():
+    """factor_poly's monic rational factors, denominators cleared and then
+    scaled by a random nonzero integer, which the monic image ignores."""
+    rng = random.Random(16)
+    checked = 0
+    while checked < 200:
+        ch = _random_places(rng)
+        p = Poly([F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(rng.randint(2, 7))])
+        if p.degree < 1:
+            continue
+        for h, _mult in factor_poly(p)[1]:
+            D = math.lcm(*(x.denominator for x in h.coeffs))
+            scale = rng.choice([-1, 1]) * rng.randint(1, 5)
+            ints = [x.numerator * (D // x.denominator) * scale for x in h.coeffs]
+            assert explorer._map_back(ints, ch) == map_back_oracle(h, ch).monic(), (h, ch.P, ch.Q)
+            checked += 1
+
+
+def test_analyze_reuses_one_fiber_per_pair_and_order():
+    report = analyze("(t-1)^3; t", AnalysisConfig(torsion_order_bound=12, scan_height_bound=1))
+    fibers = {(a, N): polys for a, N, polys in report.fibers}
+    for a, N, polys in report.fibers:
+        assert fibers[tuple(-x for x in a), N] is polys

@@ -1,0 +1,39 @@
+"""Report bytes beyond the benchmark curves: the SHA-256 of the
+`torusdep analyze` output (JSON and text) and of `torusdep fiber` at order
+12 for one character (JSON and text), pinned for curves that reach the
+factor_poly fallback, P or Q at infinity, negative c and rational roots.
+The digests were taken from the outputs of commit be48108, before the
+torsion-fiber factors were built in integers."""
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from torusdep.cli import main
+
+# (curve, character, (analyze json, analyze text, fiber json, fiber text))
+GOLDEN = (
+    ('-(t-1)^3; t', '1,-3', ('08ba51586aeb3333d418d85cc9336175ac288fe6ca4a5e3fc86179ecbb30c286', 'd2c3ee66f1c53668adf8022d8d473460d16a3ea652017df35484d1358bc2de13', 'dc21d2add0dc13e4183db54d4469e617b542c7c579725984c5ab49f8e4b04130', '02111db8596a7d2980d9e82de2c37dcb9f4865d8e86a858056e8e0049fc82686')),
+    ('2*(t-1)^2; t', '1,-2', ('0d030e4c56de38055946018f9d5cd53ab628b3f201450ad2332258e3da53c68e', '6a12496f54e9606de3100af3966e60010c63c211ce99b2fb43fc5f1c8d34f080', 'bc52de2fb70c1ff2fe5bdd37477dcc2fb677bd3346c7cfdf8ae0220894522b8d', '6b05fed0c73083f699789bf41e43d95fe74cb50ed2bbe32c27783e1b10d46101')),
+    ('(2*t+3)^2; 5*t', '1,-2', ('52b5dd267f69f5ea0ab83c1340f4aefb9334fba409fe5e061f54d3c423f13ae0', '72ccddd1373160a6c7020195ef1fed8a27ba992e5be16acf06f202feb42b217d', '556093b63682644b97e1d896e7da9037ada510b6c6c91596e9e439bf75cd9307', 'd28645c0315b3a27907e11f326e02ee218d6e421b42d1cc96a18fc84313e6a9c')),
+    ('-(t-1)^2/4; t+5', '1,-2', ('5eb53cab8e326d2d074f59db7a95e64f8f844b1dafc00f35264edf94b5f3ec1f', '35f3b26ff6100ab3d5f8e6d037d2ee213d4208ccac56322058334f04d44af3a8', '4675c556f2e9be19964fea92f58303e0f75e426576222fb20c5b543aca642020', '2aae2e2730733586c7b7c3fe439e8d7c4db3d3e582ace59a327ebeb2b292f65f')),
+    ('3*t/(2*t-1); (t+2)^2', '1,0', ('56cbea002ca0b8d5864ab30c876b365f67aecb9ca18693c45013b05a0bd85f30', 'b1ab38b5ff6796f7e3af2847653e492a993f62239e8d3d8ace3778b9cc9f923f', 'f141c88e2068508b6746b79f230befa36fc6502cc7bc724f5899b31535a587da', '32478d551b593898b2a95ddd5a5fed5804f66c45df0395541630ca5b1e8158f5')),
+)
+
+
+def _digest(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("curve, char, digests", GOLDEN, ids=[c for c, _, _ in GOLDEN])
+def test_output_bytes_match_golden(curve, char, digests):
+    got = tuple(_digest(["analyze", "--curve", curve, "--format", f]) for f in ("json", "text"))
+    got += tuple(
+        _digest(["fiber", "--curve", curve, "--char", char, "--order", "12", "--format", f])
+        for f in ("json", "text")
+    )
+    assert got == digests

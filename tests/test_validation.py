@@ -144,6 +144,28 @@ class TestExitCodes:
         assert done.returncode == 2
         assert done.stderr.startswith("error:")
 
+    def test_scan_height_over_budget_exits_2_at_once(self):
+        """H = 10**6 is refused by AnalysisConfig before the curve is parsed;
+        in a subprocess, so a regression times out."""
+        argv = ["analyze", "--curve", "t*(t+1); (t-2)/(t+3); t-5", "--scan-height", "1000000"]
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "torusdep.cli", *argv], env=_src_env(), capture_output=True, text=True, timeout=30
+        )
+        assert time.perf_counter() - start < 5
+        assert done.returncode == 2
+        assert done.stderr.startswith("error:")
+
+    def test_scan_height_budget(self, capsys):
+        top = explorer.MAX_SCAN_HEIGHT
+        assert AnalysisConfig(scan_height_bound=top).scan_height_bound == top
+        with pytest.raises(DomainError):
+            AnalysisConfig(scan_height_bound=top + 1)
+        # checked before parsing: the budget error, not the parse error
+        assert main(["analyze", "--curve", "t^; t", "--scan-height", str(top + 1)]) == 2
+        assert capsys.readouterr().err == f"error: scan height {top + 1} exceeds {top}\n"
+        assert main(["analyze", "--curve", "(t-1)^2; t", "--scan-height", "400", "--torsion-order", "1"]) == 0
+
     def test_long_literal_exits_2(self, capsys):
         assert main(["check", "--curve", "9" * 5000 + "*t; t"]) == 2
         assert capsys.readouterr().err.startswith("parse error:")
