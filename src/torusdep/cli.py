@@ -7,6 +7,7 @@ curve is against the hypothesis too), 5 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -153,6 +154,7 @@ def _cmd_fiber(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # one parser per process: main reuses it on every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="torusdep",

@@ -3,6 +3,7 @@ multiplicatively dependent parameter values, and machine-readable reports.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -35,8 +36,8 @@ MAX_FIBER_DEGREE = 4096
 # factor_poly must factor it.
 MAX_FALLBACK_DEGREE = 64
 # Budget on the scan height H: the scan visits about 2*H**2 parameters.
-# Whole analyze calls on t*(t+1); (t-2)/(t+3); t-5 took 1.1 s at H = 400
-# and 5.0 s at H = 1000 on a shared 2-vCPU VM.
+# Whole analyze calls on t*(t+1); (t-2)/(t+3); t-5 took 0.8 s at H = 400
+# and 2.4 s at H = 1000 on a shared 2-vCPU VM.
 MAX_SCAN_HEIGHT = 1000
 
 
@@ -217,44 +218,66 @@ def _private_survivors(
     that the private-part filter keeps, each with its values
     v_P = |F_P(p, q)| (forms and consts from _place_forms).
 
-    The private part r_P is v_P stripped, by repeated gcd, of every prime
-    it shares with C * prod_{Q != P} v_Q, C = prod_i |num c_i| * den c_i.
-    A prime l dividing r_P divides no c_i and no other value, so
-    v_l(x_i) = D[P, i] * v_l(v_P): the prime-exponent matrix of the x_i
-    holds a nonzero multiple of the row D[P, .]. The point is therefore
-    independent, and the parameter dropped, when the rows of D of the
-    places with r_P > 1 have rank n; that rank is kept per set of places.
+    The private part r_P of v_P is v_P without the primes of
+    C * prod_{Q != P} v_Q, C = prod_i |num c_i| * den c_i. A prime l of r_P
+    gives v_l(x_i) = D[P, i] * v_l(v_P), so the point is independent, and
+    the parameter dropped, when the rows of D of the places with r_P > 1
+    have rank n (kept per set of places). A degree-1 place F_P = w*p - u*q
+    certifies r_P > 1 from v_P alone: a prime it shares with a coprime
+    F_Q(p, q) divides Res(F_P, F_Q) = +-F_Q(u, w), so a prime of v_P
+    outside R_P = C * prod_{Q != P} |F_Q(u, w)| is in r_P. These places go
+    first, and a parameter is dropped at its first certified set of rank n;
+    the rest take the full filter, so no survivor changes.
     """
     rows = curve.divisor_matrix.entries
     C = math.prod(abs(c.numerator) * c.denominator for c in consts)
-    full_rank: Dict[int, bool] = {}
+
+    @functools.cache
+    def full_rank(mask: int) -> bool:
+        sub = [r for k, r in enumerate(rows) if mask >> k & 1]
+        return len(sub) >= curve.n and rank(sub) == curve.n
+    linear = []  # (bit, form, R_P) per degree-1 place
+    for k, f in enumerate(forms):
+        if len(f) == 2:  # every other F_Q at its root (-f[0] : f[1])
+            at_root = [sum(a * (-f[0]) ** j * f[1] ** (len(g) - 1 - j) for j, a in enumerate(g))
+                       for g in forms if g != f]
+            linear.append((1 << k, f, C * abs(math.prod(at_root))))
+    linear = linear if full_rank(sum(bit for bit, *_ in linear)) else []  # else no subset drops
     for q in range(1, H + 1):
         # coefficients from the top, the k-th times q**k: Horner in p alone
         scaled = [[a * q ** k for k, a in enumerate(reversed(f))] for f in forms]
         for p in range(-H, H + 1):
             if math.gcd(p, q) != 1:
                 continue
-            values = []
-            for b in scaled:
-                acc = 0
-                for a in b:
-                    acc = acc * p + a
-                values.append(abs(acc))
-            if 0 in values:  # only a finite place can vanish: F at infinity is q >= 1
-                continue
-            total = C * math.prod(values)
             mask = 0
-            for k, v in enumerate(values):
-                g = math.gcd(v, total // v)
-                while g > 1:
-                    v //= g
-                    g = math.gcd(v, g)
-                if v > 1:
-                    mask |= 1 << k
-            if mask not in full_rank:
-                full_rank[mask] = rank([r for k, r in enumerate(rows) if mask >> k & 1]) == curve.n
-            if not full_rank[mask]:
-                yield p, q, values
+            for bit, (a0, a1), R in linear:
+                v = abs(a1 * p + a0 * q)
+                if not v:
+                    break
+                if pow(R, v.bit_length(), v):  # iff a prime of v does not divide R
+                    mask |= bit
+                    if full_rank(mask):
+                        break
+            else:
+                values = []
+                for b in scaled:
+                    acc = 0
+                    for a in b:
+                        acc = acc * p + a
+                    values.append(abs(acc))
+                if 0 in values:  # only a finite place can vanish: F at infinity is q >= 1
+                    continue
+                total = C * math.prod(values)
+                mask = 0
+                for k, v in enumerate(values):
+                    g = math.gcd(v, total // v)
+                    while g > 1:
+                        v //= g
+                        g = math.gcd(v, g)
+                    if v > 1:
+                        mask |= 1 << k
+                if not full_rank(mask):
+                    yield p, q, values
 
 
 def scan_dependent(
@@ -273,13 +296,13 @@ def scan_dependent(
     F_P of _place_forms. A parameter is skipped iff some finite F_P(p, q) is
     0, which is exactly when some coordinate has a pole or a zero there:
     coordinates are reduced and place_index is the union of their supports.
-    _private_survivors then drops the parameters whose private place values
-    prove independence. For the rest, the point is dependent iff the |x_i|
-    are dependent, which multdep.independent_over_coprime_base decides from
-    the c_i and the values by gcds alone (a relation among the |x_i| doubles
-    to one among the x_i). Only dependent parameters are evaluated and
-    passed to relation_lattice; a zero lattice there means the two routes
-    disagree and raises InvariantViolation.
+    _private_survivors drops the parameters whose private place values
+    prove independence, most from certified degree-1 places alone. For the
+    rest, the point is dependent iff the |x_i| are (a relation among them
+    doubles to one among the x_i), which multdep.independent_over_coprime_base
+    decides from the c_i and the values by gcds alone. Only dependent
+    parameters are evaluated and passed to relation_lattice; a zero lattice
+    there means the two routes disagree and raises InvariantViolation.
     """
     curve.require_proper()
     if characters is None:

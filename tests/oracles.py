@@ -3,9 +3,11 @@ factors every small monomial product on the curve instead of working from
 the divisor matrix, dependence_oracle multiplies out every small exponent
 vector instead of factoring the coordinates, scan_oracle evaluates
 every coordinate and builds the relation lattice at every parameter instead
-of testing rank from the place forms, relation_oracle factors every
-coordinate with sympy.factorint instead of testing rank over a coprime
-base first, map_degree_oracle takes the properness gcd through sympy
+of testing rank from the place forms, private_survivors_oracle strips each
+place value of the primes of all the others at every parameter instead of
+first certifying the degree-1 places from their resultants, relation_oracle
+factors every coordinate with sympy.factorint instead of testing rank over
+a coprime base first, map_degree_oracle takes the properness gcd through sympy
 expressions (expand, subs, sympy.gcd) instead of one sympy.Poly gcd of
 coefficient dicts, and character_oracle normalizes a character from the
 factored restricted character (divisor_of) and reads c off its
@@ -28,8 +30,9 @@ character_restrict multiply out a character on a curve, expand_factors
 multiplies a factorization back out and reconstruct rebuilds a point from
 its decomposition."""
 import functools
+import math
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import sympy
 
@@ -53,6 +56,7 @@ from torusdep.intlattice import (
     hnf,
     kernel_basis,
     primitive_witness,
+    rank,
 )
 from torusdep.multdep import (
     Decomposition,
@@ -256,6 +260,53 @@ def scan_oracle(
         )
     records.sort(key=lambda r: (r.height, r.parameter))
     return records
+
+
+def private_survivors_oracle(
+    curve: CurveData, forms: Sequence[Tuple[int, ...]], consts: Sequence[Fraction], H: int
+) -> Iterator[Tuple[int, int, List[int]]]:
+    """The coprime (p, q) with max(|p|, q) <= H and no finite F_P(p, q) = 0
+    that the private-part filter keeps, each with its values
+    v_P = |F_P(p, q)| (forms and consts from _place_forms).
+
+    The private part r_P is v_P stripped, by repeated gcd, of every prime
+    it shares with C * prod_{Q != P} v_Q, C = prod_i |num c_i| * den c_i.
+    A prime l dividing r_P divides no c_i and no other value, so
+    v_l(x_i) = D[P, i] * v_l(v_P): the prime-exponent matrix of the x_i
+    holds a nonzero multiple of the row D[P, .]. The point is therefore
+    independent, and the parameter dropped, when the rows of D of the
+    places with r_P > 1 have rank n; that rank is kept per set of places.
+    """
+    rows = curve.divisor_matrix.entries
+    C = math.prod(abs(c.numerator) * c.denominator for c in consts)
+    full_rank: Dict[int, bool] = {}
+    for q in range(1, H + 1):
+        # coefficients from the top, the k-th times q**k: Horner in p alone
+        scaled = [[a * q ** k for k, a in enumerate(reversed(f))] for f in forms]
+        for p in range(-H, H + 1):
+            if math.gcd(p, q) != 1:
+                continue
+            values = []
+            for b in scaled:
+                acc = 0
+                for a in b:
+                    acc = acc * p + a
+                values.append(abs(acc))
+            if 0 in values:  # only a finite place can vanish: F at infinity is q >= 1
+                continue
+            total = C * math.prod(values)
+            mask = 0
+            for k, v in enumerate(values):
+                g = math.gcd(v, total // v)
+                while g > 1:
+                    v //= g
+                    g = math.gcd(v, g)
+                if v > 1:
+                    mask |= 1 << k
+            if mask not in full_rank:
+                full_rank[mask] = rank([r for k, r in enumerate(rows) if mask >> k & 1]) == curve.n
+            if not full_rank[mask]:
+                yield p, q, values
 
 
 @functools.lru_cache(maxsize=None)

@@ -3,13 +3,25 @@
 12 for one character (JSON and text), pinned for curves that reach the
 factor_poly fallback, P or Q at infinity, negative c and rational roots.
 The digests were taken from the outputs of commit be48108, before the
-torsion-fiber factors were built in integers."""
+torsion-fiber factors were built in integers.
+
+SCAN_200 pins the `analyze --scan-height 200` JSON of the four benchmark
+curves and of a curve whose places t - 6, t, t + 6 share primes; those
+digests were taken at commit b6b94f4, before the height scan certified its
+degree-1 places from their resultants. On the four benchmark curves they
+equal the H = 50 digests in bench/reference.json: no parameter of height
+51 to 200 is dependent there. A curve with a 4300-digit constant must
+answer at sweep bound 50 within a timeout."""
 import contextlib
 import hashlib
 import io
+import json
+import subprocess
+import sys
 
 import pytest
 
+from test_validation import _src_env
 from torusdep.cli import main
 
 # (curve, character, (analyze json, analyze text, fiber json, fiber text))
@@ -37,3 +49,29 @@ def test_output_bytes_match_golden(curve, char, digests):
         for f in ("json", "text")
     )
     assert got == digests
+
+
+SCAN_200 = (
+    ("(t-1)^2; t", "e646c8e5553f1e4d8f55435dc46fe47ef16b227e13808b62c6b7996ceb3a6fb1"),
+    ("(t-1)^3; t", "73ac87d531a321c7a1cd7b9517fdb9a1316b68a062fffb2076370f0d8f931684"),
+    ("2*t/(t+1); t^(-2)", "00812e34c4b10f4dfd80f25bd80d2082f9191c9ea25226ecca7dc935badeea6e"),
+    ("t*(t+1); (t-2)/(t+3); t-5", "d716442cc1d0ba8f10c829ed95ee108458a7e7ff043cd1c7ab80c96316bdd49e"),
+    ("t*(t+6); 3*(t-6)/t", "f9b590455de596a1e3aa75977def7012caa73c9c91518571b279e8e49996498f"),
+)
+
+
+@pytest.mark.parametrize("curve, digest", SCAN_200, ids=[c for c, _ in SCAN_200])
+def test_scan_height_200_bytes_match_golden(curve, digest):
+    assert _digest(["analyze", "--curve", curve, "--scan-height", "200"]) == digest
+
+
+def test_4300_digit_constant_answers():
+    """A prime of N = 10**4299 + 7 exceeds 50, so no q cancels it from
+    x_1 = N*p/q and no relation involves x_1; x_2 = t + 1 must then be -1,
+    and t = -2 is the only dependent parameter."""
+    argv = ["analyze", "--curve", f"{10 ** 4299 + 7}*t; t+1", "--torsion-order", "2", "--scan-height", "50"]
+    done = subprocess.run(
+        [sys.executable, "-m", "torusdep.cli", *argv], env=_src_env(), capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert [r["t"] for r in json.loads(done.stdout)["scan"]] == ["-2"]

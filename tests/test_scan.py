@@ -1,7 +1,10 @@
 """The height scan tests dependence from integer place forms, without
 factoring: a private-part filter, then a rank over a coprime base. It
 builds relation lattices only for dependent parameters; scan_oracle builds
-one at every parameter. The two must give identical records."""
+one at every parameter. The two must give identical records. The filter
+first walks the degree-1 places with their resultant certificates;
+private_survivors_oracle runs the full filter at every parameter, and the
+two must yield identical (p, q, values) streams."""
 import json
 import math
 import random
@@ -9,7 +12,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from oracles import scan_oracle
+from oracles import private_survivors_oracle, scan_oracle
 from torusdep import explorer
 from torusdep.cli import main
 from torusdep.curvegeom import CurveData
@@ -187,3 +190,108 @@ def test_disagreement_raises(monkeypatch):
     monkeypatch.setattr(explorer, "relation_lattice", lambda point: LatticeBasis(len(point), ()))
     with pytest.raises(InvariantViolation):
         scan_dependent(parse_curve("(t-1)^2; t"), AnalysisConfig(scan_height_bound=5))
+
+
+def _same_stream(curve, H):
+    forms, consts = _place_forms(curve)
+    stream = list(_private_survivors(curve, forms, consts, H))
+    assert stream == list(private_survivors_oracle(curve, forms, consts, H))
+    return stream
+
+
+@pytest.mark.parametrize(
+    "text, H",
+    [(text, 50) for text in BENCH_CURVES]
+    + [(NO_INFINITY, 30), (QUADRATIC_PLACE, 30)]
+    + [(text, H) for text, H, _place in MORE_CURVES],
+)
+def test_filter_stream_matches_oracle(text, H):
+    _same_stream(parse_curve(text), H)
+
+
+def test_filter_stream_matches_oracle_on_random_curves():
+    for curve, H in _random_proper_curves(40, seed=4242):
+        _same_stream(curve, H)
+
+
+def _shared_prime_curves(count, seed):
+    """Proper curves built from rational linear factors b*t - a, with a a
+    signed product of 2, 3, 5 and 7, so that the roots' differences share
+    those primes: each coordinate but the last multiplies 3 to 6 factors,
+    and the last is a quotient of two."""
+    rng = random.Random(seed)
+    tops = [s * m for m in (0, 2, 3, 5, 6, 7, 10, 14, 15, 21, 30, 35, 42, 70) for s in (1, -1)]
+
+    def factor():
+        return f"({rng.choice((1, 1, 2, 3))}*t{-rng.choice(tops):+d})"
+
+    curves = []
+    while len(curves) < count:
+        coords = [
+            "*".join(f"{factor()}^{rng.choice((-2, -1, 1, 2))}" for _ in range(rng.randint(3, 6)))
+            for _ in range(rng.choice((1, 2)))
+        ]
+        try:
+            curve = parse_curve("; ".join(coords + [f"{factor()}/{factor()}"]))
+        except ValueError:  # a zero or constant coordinate
+            continue
+        if curve.violation is None and curve.degree == 1:
+            curves.append((curve, rng.randint(15, 25)))
+    return curves
+
+
+def test_filter_stream_matches_oracle_where_resultants_share_small_primes():
+    """Every place is of degree 1, where a certificate is exact (see
+    test_certificate_is_sound_and_exact), so each parameter the walk does
+    not drop reaches the full filter and survives it: many do here."""
+    swept = kept = 0
+    for curve, H in _shared_prime_curves(40, seed=16):
+        assert all(place.degree == 1 for place in curve.place_index)
+        swept += sum(1 for _p, _q, point in _swept(curve, H) if point is not None)
+        kept += len(_same_stream(curve, H))
+    assert kept > 0.05 * swept
+
+
+def _strip(v, R):
+    """v without the primes of R, by repeated gcd."""
+    g = math.gcd(v, R)
+    while g > 1:
+        v //= g
+        g = math.gcd(v, g)
+    return v
+
+
+def _at(form, p, q):
+    """The binary form (constant term first) at (p, q)."""
+    return sum(a * p ** j * q ** (len(form) - 1 - j) for j, a in enumerate(form))
+
+
+def test_certificate_is_sound_and_exact():
+    """For a primitive linear F_P with root (u : w), a form F_Q with
+    F_Q(u, w) != 0 and coprime (p, q) where neither vanishes: every prime
+    shared by F_P(p, q) and F_Q(p, q) divides F_Q(u, w) (sound), and every
+    prime shared by F_P(p, q) and F_Q(u, w) divides F_Q(p, q) (exact)."""
+    rng = random.Random(1616)
+    fixed = [(1, 0), (3, 2), (-3, 2), (0, 1)]  # infinity (F = q), 2t + 3, 2t - 3, t
+    checked = 0
+    for trial in range(40):
+        if trial < len(fixed):
+            P = fixed[trial]
+        else:
+            a0, a1 = rng.randint(-30, 30), rng.randint(1, 12)
+            if math.gcd(a0, a1) != 1:
+                continue
+            P = (a0, a1)
+        R = 0
+        while not R:
+            Q = [rng.randint(-9, 9) for _ in range(rng.randint(2, 5))]
+            R = abs(_at(Q, -P[0], P[1]))
+        for q in range(1, 61):
+            for p in range(-60, 61):
+                vP, vQ = _at(P, p, q), _at(Q, p, q)
+                if math.gcd(p, q) != 1 or vP == 0 or vQ == 0:
+                    continue
+                assert _strip(math.gcd(vP, vQ), R) == 1, (P, Q, p, q)
+                assert _strip(math.gcd(vP, R), vQ) == 1, (P, Q, p, q)
+                checked += 1
+    assert checked > 100_000

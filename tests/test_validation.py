@@ -1,6 +1,8 @@
 """Curve validation (properness and the standing hypothesis), checked once
 per curve and reported by exception type; CLI exit codes; parser and
 point-literal budgets."""
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -12,7 +14,7 @@ import pytest
 
 import torusdep.curvegeom as curvegeom
 import torusdep.explorer as explorer
-from torusdep.cli import main
+from torusdep.cli import build_parser, main
 from torusdep.curvegeom import phi_enumerate
 from torusdep.errors import (
     AssumptionViolation,
@@ -214,6 +216,35 @@ class TestExitCodes:
                 main(argv)
             assert exc.value.code == 2
             assert "expected one argument" in capsys.readouterr().err
+
+    def test_one_parser_answers_calls_in_sequence(self):
+        """main builds its parser once per process: calls in sequence, an
+        argparse error among them, answer as each does on a fresh parser."""
+        runs = (
+            ["analyze", "--curve", "(t-1)^2; t", "--torsion-order", "2", "--scan-height", "5"],
+            ["analyze", "--curve", "(t-1)^2; t", "--scan-height", "five"],
+            ["fiber", "--curve", "(t-1)^3; t", "--char", "-1,0", "--order", "2", "--format", "text"],
+            ["depends", "--point", "-2,-8"],
+        )
+
+        def call(argv):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            return code, out.getvalue(), err.getvalue()
+
+        in_sequence = [call(argv) for argv in runs]
+        assert build_parser() is build_parser()
+        fresh = []
+        for argv in runs:
+            build_parser.cache_clear()
+            fresh.append(call(argv))
+        assert in_sequence == fresh
+        assert [code for code, _out, _err in fresh] == [0, 2, 0, 0]
+        assert "invalid int value: 'five'" in fresh[1][2]
 
 
 def test_point_subcommands_do_not_import_sympy():
