@@ -16,7 +16,7 @@ from .errors import (
     ImproperParametrization,
     InvariantViolation,
 )
-from .exactcore import Poly, RatFunc, factor_poly, nth_power_in_Q
+from .exactcore import Poly, RatFunc, factor_poly, nth_power_in_Q, render
 from .intlattice import IntMatrix, content, kernel_basis
 
 Character = Tuple[int, ...]
@@ -150,10 +150,10 @@ class NormalizedCharacter:
     def to_dict(self) -> Dict:
         return {
             "a": list(self.a),
-            "P": str(self.P),
-            "Q": str(self.Q),
+            "P": render(self.P),
+            "Q": render(self.Q),
             "m": self.m,
-            "c": str(self.c),
+            "c": render(self.c),
             "realizable_cyclotomic": self.realizable_cyclotomic,
         }
 

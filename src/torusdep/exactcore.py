@@ -15,6 +15,14 @@ from typing import Iterable, List, Optional, Sequence
 from .errors import DomainError
 
 
+def render(x) -> str:
+    """str(x), with DomainError for an integer past Python's int-to-str limit."""
+    try:
+        return str(x)
+    except ValueError as exc:  # "Exceeds the limit (4300 digits) for integer string conversion; use ..."
+        raise DomainError(f"output integer: {str(exc).partition(';')[0]}") from None
+
+
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -323,15 +331,7 @@ class RatFunc:
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
-        result = RatFunc(Poly([1]))
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:  # no square after the last bit: it would go unused
-                base = base * base
-        return result
+        return RatFunc(self.num ** e, self.den ** e)  # already reduced: one final gcd
 
     def __call__(self, x: Fraction) -> Fraction:
         d = self.den(x)

@@ -20,7 +20,7 @@ from .curvegeom import (
     two_point_divisor,
 )
 from .errors import DomainError, InvariantViolation
-from .exactcore import Poly, cyclotomic_poly, factor_key, factor_poly, int_shift, nth_power_in_Q
+from .exactcore import Poly, cyclotomic_poly, factor_key, factor_poly, int_shift, nth_power_in_Q, render
 from .intlattice import primitive_witness, rank
 from .multdep import (
     independent_over_coprime_base,
@@ -222,12 +222,12 @@ def _private_survivors(
     C * prod_{Q != P} v_Q, C = prod_i |num c_i| * den c_i. A prime l of r_P
     gives v_l(x_i) = D[P, i] * v_l(v_P), so the point is independent, and
     the parameter dropped, when the rows of D of the places with r_P > 1
-    have rank n (kept per set of places). A degree-1 place F_P = w*p - u*q
-    certifies r_P > 1 from v_P alone: a prime it shares with a coprime
-    F_Q(p, q) divides Res(F_P, F_Q) = +-F_Q(u, w), so a prime of v_P
-    outside R_P = C * prod_{Q != P} |F_Q(u, w)| is in r_P. These places go
-    first, and a parameter is dropped at its first certified set of rank n;
-    the rest take the full filter, so no survivor changes.
+    have rank n (kept per set of places). One rule per place. Degree 1,
+    F_P = w*p - u*q primitive, first: a prime l of v_P puts (p : q) at
+    (u : w) mod l, so r_P > 1 iff a prime of v_P is outside
+    R_P = C * prod_{Q != P} |F_Q(u, w)|, and a parameter is dropped at its
+    first set of rank n. Degree 2 or more (never 0 at a coprime (p, q)):
+    v_P stripped by repeated gcd.
     """
     rows = curve.divisor_matrix.entries
     C = math.prod(abs(c.numerator) * c.denominator for c in consts)
@@ -242,7 +242,7 @@ def _private_survivors(
             at_root = [sum(a * (-f[0]) ** j * f[1] ** (len(g) - 1 - j) for j, a in enumerate(g))
                        for g in forms if g != f]
             linear.append((1 << k, f, C * abs(math.prod(at_root))))
-    linear = linear if full_rank(sum(bit for bit, *_ in linear)) else []  # else no subset drops
+    higher = [k for k, f in enumerate(forms) if len(f) > 2]
     for q in range(1, H + 1):
         # coefficients from the top, the k-th times q**k: Horner in p alone
         scaled = [[a * q ** k for k, a in enumerate(reversed(f))] for f in forms]
@@ -265,11 +265,9 @@ def _private_survivors(
                     for a in b:
                         acc = acc * p + a
                     values.append(abs(acc))
-                if 0 in values:  # only a finite place can vanish: F at infinity is q >= 1
-                    continue
                 total = C * math.prod(values)
-                mask = 0
-                for k, v in enumerate(values):
+                for k in higher:
+                    v = values[k]
                     g = math.gcd(v, total // v)
                     while g > 1:
                         v //= g
@@ -297,9 +295,10 @@ def scan_dependent(
     0, which is exactly when some coordinate has a pole or a zero there:
     coordinates are reduced and place_index is the union of their supports.
     _private_survivors drops the parameters whose private place values
-    prove independence, most from certified degree-1 places alone. For the
-    rest, the point is dependent iff the |x_i| are (a relation among them
-    doubles to one among the x_i), which multdep.independent_over_coprime_base
+    prove independence, each place decided by one rule: a resultant
+    certificate at degree 1, a gcd strip at degree 2 or more. For the rest,
+    the point is dependent iff the |x_i| are (a relation among them doubles
+    to one among the x_i), which multdep.independent_over_coprime_base
     decides from the c_i and the values by gcds alone. Only dependent
     parameters are evaluated and passed to relation_lattice; a zero lattice
     there means the two routes disagree and raises InvariantViolation.
@@ -356,7 +355,7 @@ def scan_dependent(
 
 
 def fiber_to_dict(char: Sequence[int], order: int, factors: Sequence[Poly]) -> Dict:
-    return {"char": list(char), "N": order, "factors": [str(q) for q in factors]}
+    return {"char": list(char), "N": order, "factors": [render(q) for q in factors]}
 
 
 def assumption_to_dict(violation: Optional[Character]) -> Dict:
@@ -371,14 +370,6 @@ class Report:
     fibers: Tuple[Tuple[Character, int, Tuple[Poly, ...]], ...]
     scan: Tuple[ScanRecord, ...]
 
-    @property
-    def max_dependent_height(self) -> float:
-        return max((r.height for r in self.scan), default=0.0)
-
-    @property
-    def exceptional_count(self) -> int:
-        return sum(1 for r in self.scan if r.fiber_character is None)
-
     def to_dict(self) -> Dict:
         return {
             "curve": list(self.curve_text),
@@ -390,8 +381,8 @@ class Report:
             "fibers": [fiber_to_dict(*fiber) for fiber in self.fibers],
             "scan": [
                 {
-                    "t": str(r.parameter),
-                    "point": [str(x) for x in r.point],
+                    "t": render(r.parameter),
+                    "point": [render(x) for x in r.point],
                     "dependent": r.dependent,
                     "primitive": r.primitive,
                     "relation": list(r.relation) if r.relation is not None else None,
@@ -401,8 +392,8 @@ class Report:
                 for r in self.scan
             ],
             "summary": {
-                "max_dependent_height": self.max_dependent_height,
-                "exceptional_count": self.exceptional_count,
+                "max_dependent_height": max((r.height for r in self.scan), default=0.0),
+                "exceptional_count": sum(1 for r in self.scan if r.fiber_character is None),
             },
         }
 
@@ -410,28 +401,27 @@ class Report:
         return json.dumps(self.to_dict(), indent=2)
 
     def to_text(self) -> str:
-        lines = [f"curve: {'; '.join(self.curve_text)}"]
-        lines.append(f"map degree: {self.map_degree}")
-        lines.append("assumption ok: True")
-        lines.append(f"characters ({len(self.phi)}):")
-        for ch in self.phi:
+        d = self.to_dict()
+        lines = [f"curve: {'; '.join(d['curve'])}", f"map degree: {d['map_degree']}"]
+        lines.append(f"assumption ok: {d['assumption']['ok']}")
+        lines.append(f"characters ({len(d['phi'])}):")
+        for ch in d["phi"]:
             lines.append(
-                f"  a={list(ch.a)} P={ch.P} Q={ch.Q} m={ch.m} c={ch.c}"
-                f" realizable={ch.realizable_cyclotomic}"
+                f"  a={ch['a']} P={ch['P']} Q={ch['Q']} m={ch['m']} c={ch['c']}"
+                f" realizable={ch['realizable_cyclotomic']}"
             )
-        lines.append(f"fibers ({len(self.fibers)}):")
-        for char, order, factors in self.fibers:
-            body = ", ".join(str(q) for q in factors) or "(empty)"
-            lines.append(f"  char={list(char)} N={order}: {body}")
-        lines.append(f"dependent records ({len(self.scan)}):")
-        for r in self.scan:
+        lines.append(f"fibers ({len(d['fibers'])}):")
+        for fiber in d["fibers"]:
+            body = ", ".join(fiber["factors"]) or "(empty)"
+            lines.append(f"  char={fiber['char']} N={fiber['N']}: {body}")
+        lines.append(f"dependent records ({len(d['scan'])}):")
+        for r in d["scan"]:
             lines.append(
-                f"  t={r.parameter} point={[str(x) for x in r.point]}"
-                f" primitive={r.primitive} relation={list(r.relation)}"
-                f" height={r.height:.6f} class={r.classification}"
+                f"  t={r['t']} point={r['point']} primitive={r['primitive']}"
+                f" relation={r['relation']} height={r['height']:.6f} class={r['class']}"
             )
-        lines.append(f"max dependent height: {self.max_dependent_height}")
-        lines.append(f"exceptional count: {self.exceptional_count}")
+        lines.append(f"max dependent height: {d['summary']['max_dependent_height']}")
+        lines.append(f"exceptional count: {d['summary']['exceptional_count']}")
         return "\n".join(lines) + "\n"
 
 
@@ -458,7 +448,7 @@ def analyze(curve_text: str, config: AnalysisConfig = AnalysisConfig()) -> Repor
         fibers.extend((ch.a, order, fiber) for order, fiber in enumerate(ordered[key], 1))
     scan = tuple(scan_dependent(curve, config, phi))
     return Report(
-        curve_text=tuple(str(f) for f in curve.coords),
+        curve_text=tuple(render(f) for f in curve.coords),
         map_degree=curve.degree,
         phi=phi,
         fibers=tuple(fibers),

@@ -266,6 +266,34 @@ def test_pow_matches_repeated_products(x):
         power = power * x
 
 
+def test_ratfunc_pow_matches_repeated_products_on_random_functions():
+    """Seeded: x**e for e in [-9, 9] against e-fold products of x (or of
+    its inverse), including the zero function at e >= 0."""
+    rng = random.Random(1717)
+
+    def rand_poly(zero_ok):
+        while True:
+            p = Poly([F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(rng.randint(1, 4))])
+            if zero_ok or not p.is_zero():
+                return p
+
+    checked = 0
+    for trial in range(24):
+        x = RatFunc(Poly()) if trial == 0 else RatFunc(rand_poly(True), rand_poly(False))
+        if x.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                x ** -1
+        for sign in (1, -1) if not x.is_zero() else (1,):
+            base = x if sign > 0 else x.inverse()
+            power = RatFunc(Poly([1]))
+            for e in range(10):
+                got = x ** (sign * e)
+                assert got == power and str(got) == str(power), (x, sign * e)
+                power = power * base
+                checked += 1
+    assert checked > 300
+
+
 @pytest.mark.parametrize("x", POW_BASES, ids=["Poly", "RatFunc"])
 def test_pow_makes_no_unused_square(x, monkeypatch):
     cls = type(x)

@@ -10,8 +10,13 @@ curves and of a curve whose places t - 6, t, t + 6 share primes; those
 digests were taken at commit b6b94f4, before the height scan certified its
 degree-1 places from their resultants. On the four benchmark curves they
 equal the H = 50 digests in bench/reference.json: no parameter of height
-51 to 200 is dependent there. A curve with a 4300-digit constant must
-answer at sweep bound 50 within a timeout."""
+51 to 200 is dependent there. Its last two curves, one whose degree-1 rows
+have rank below n and one with places of degree 2, were taken at commit
+fa0fa74, before a degree-1 place's certificate became its only test and
+the gcd strip was kept for places of degree 2 or more alone. A curve with
+a 4300-digit constant must answer at sweep bound 50 within a timeout, and
+one whose output would hold an integer past Python's int-to-str limit
+must exit 2 with an error line."""
 import contextlib
 import hashlib
 import io
@@ -57,6 +62,8 @@ SCAN_200 = (
     ("2*t/(t+1); t^(-2)", "00812e34c4b10f4dfd80f25bd80d2082f9191c9ea25226ecca7dc935badeea6e"),
     ("t*(t+1); (t-2)/(t+3); t-5", "d716442cc1d0ba8f10c829ed95ee108458a7e7ff043cd1c7ab80c96316bdd49e"),
     ("t*(t+6); 3*(t-6)/t", "f9b590455de596a1e3aa75977def7012caa73c9c91518571b279e8e49996498f"),
+    ("(t^2+t+1)/(t^2-2); 3*t/(t+1)", "f386fe5386bcb0ee4b1e6a4d400132e6b213f91359b4e09367d3891ffaf01838"),
+    ("t^2*(t+1)/(t-3); (3*t^2+1)/(t+5)^2; 7*t", "dfe594955fcd915bb2b8b4bb288b402aec113753036947062d1288e5514a4ca0"),
 )
 
 
@@ -75,3 +82,26 @@ def test_4300_digit_constant_answers():
     )
     assert done.returncode == 0, done.stderr
     assert [r["t"] for r in json.loads(done.stdout)["scan"]] == ["-2"]
+
+
+SEVENS, NINES = "7" * 4300, "9" * 4300
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # fiber factors of degree >= 2 carry 1/N**k
+        ["analyze", "--curve", f"{SEVENS}*t; t+1", "--torsion-order", "12", "--scan-height", "50"],
+        # the scan point at t = -2 has 4301 digits
+        ["analyze", "--curve", f"{SEVENS}*t; t+1", "--torsion-order", "2", "--scan-height", "50"],
+        # the character constant has 8600 digits
+        ["phi", "--curve", f"{NINES}*{NINES}*t; t+1"],
+    ],
+    ids=["analyze-fibers", "analyze-scan", "phi"],
+)
+def test_output_integer_past_str_limit_exits_2(argv):
+    done = subprocess.run(
+        [sys.executable, "-m", "torusdep.cli", *argv], env=_src_env(), capture_output=True, text=True, timeout=60
+    )
+    assert (done.returncode, done.stdout) == (2, ""), done.stderr
+    assert done.stderr.startswith("error: ") and f"({sys.get_int_max_str_digits()} digits)" in done.stderr

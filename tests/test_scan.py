@@ -2,9 +2,10 @@
 factoring: a private-part filter, then a rank over a coprime base. It
 builds relation lattices only for dependent parameters; scan_oracle builds
 one at every parameter. The two must give identical records. The filter
-first walks the degree-1 places with their resultant certificates;
-private_survivors_oracle runs the full filter at every parameter, and the
-two must yield identical (p, q, values) streams."""
+decides each degree-1 place by its resultant certificate and each place of
+degree 2 or more by a gcd strip; private_survivors_oracle strips every
+place at every parameter, and the two must yield identical (p, q, values)
+streams."""
 import json
 import math
 import random
@@ -25,12 +26,15 @@ from torusdep.explorer import (
     parse_curve,
     scan_dependent,
 )
-from torusdep.intlattice import LatticeBasis
+from torusdep.intlattice import LatticeBasis, rank
 from torusdep.multdep import relation_lattice
 
 BENCH_CURVES = ["(t-1)^2; t", "(t-1)^3; t", "2*t/(t+1); t^(-2)", "t*(t+1); (t-2)/(t+3); t-5"]
 NO_INFINITY = "(t+1)/(t-1); (2*t+3)/(t-5)"
 QUADRATIC_PLACE = "t^2*(t+1)/(t-3); (3*t^2+1)/(t+5)^2; 7*t"
+# degree-1 places t and t + 1 only, whose rows have rank 1 < n = 2: no
+# parameter is dropped by certificates alone
+LOW_LINEAR_RANK = "(t^2+t+1)/(t^2-2); 3*t/(t+1)"
 # (curve, H, a place it has): places t - 6, t, t + 6 whose values share
 # primes (pairwise resultants 6, 6 and 12); a place of degree 3; place
 # values of about 100 bits, past the integer factoring budget
@@ -202,11 +206,15 @@ def _same_stream(curve, H):
 @pytest.mark.parametrize(
     "text, H",
     [(text, 50) for text in BENCH_CURVES]
-    + [(NO_INFINITY, 30), (QUADRATIC_PLACE, 30)]
+    + [(NO_INFINITY, 30), (QUADRATIC_PLACE, 30), (LOW_LINEAR_RANK, 50)]
     + [(text, H) for text, H, _place in MORE_CURVES],
 )
 def test_filter_stream_matches_oracle(text, H):
-    _same_stream(parse_curve(text), H)
+    curve = parse_curve(text)
+    if text == LOW_LINEAR_RANK:
+        linear = [row for place, row in zip(curve.place_index, curve.divisor_matrix.entries) if place.degree == 1]
+        assert linear and rank(linear) < curve.n
+    _same_stream(curve, H)
 
 
 def test_filter_stream_matches_oracle_on_random_curves():
@@ -242,8 +250,8 @@ def _shared_prime_curves(count, seed):
 
 def test_filter_stream_matches_oracle_where_resultants_share_small_primes():
     """Every place is of degree 1, where a certificate is exact (see
-    test_certificate_is_sound_and_exact), so each parameter the walk does
-    not drop reaches the full filter and survives it: many do here."""
+    test_certificate_is_sound_and_exact), so the certificates alone decide
+    every parameter: many survive here."""
     swept = kept = 0
     for curve, H in _shared_prime_curves(40, seed=16):
         assert all(place.degree == 1 for place in curve.place_index)
