@@ -3,14 +3,12 @@ torsion/free decomposition of the group generated by a rational point's
 coordinates, and Weil heights.
 
 Points have nonzero rational coordinates; the only torsion in Q* is the
-sign, which is handled as a parity functional on the relation kernel.
-A point's |numerators| and denominators are first split into a coprime
-base by gcds alone. Where primes are needed, each base element is
-factored once, all of a call's elements in one batch (_factor_batch), and
-the exponent at a prime p is read off the one base element p divides.
-The batch's one use of sympy is isprime, to certify a cofactor of 2^24 or
-more; sympy is imported there, on first use, so points whose cofactors
-stay below 2^24 never load it.
+sign, a parity functional on the relation kernel. Every lattice comes from
+one matrix, the coordinates' exponent rows over the coprime base of their
+|numerators| and denominators (gcds alone), whose columns primes only
+order (_by_least_prime). factor_int and factor_rational factor in batches
+(_factor_batch), whose one use of sympy, imported on first use, is isprime
+on a cofactor of 2^24 or more.
 """
 from __future__ import annotations
 
@@ -335,23 +333,24 @@ def _point_rows(pt: PointQ) -> Tuple[List[int], List[List[int]]]:
     return _coprime_rows([((abs(x.numerator), 1), (x.denominator, -1)) for x in pt])
 
 
-def _prime_matrix(base: List[int], rows: List[List[int]]) -> Tuple[List[int], IntMatrix]:
-    """The primes dividing the base elements (increasing), and A: one row
-    per coordinate, holding its exponent at each of those primes. Each
-    base element is factored once, all in one batch; as the elements are
-    pairwise coprime, a prime p divides exactly one of them, b_j, and
-    A[i][p] = rows[i][j] * v_p(b_j). A base of one element b is not
-    factored: [b] and A = rows stand for the primes. Each prime's column
-    would be a positive multiple of that one column, and scaling a column
-    by a positive integer changes none of hnf's row operations, so the
-    kernel, the HNF rows and each generator prod(b ** h) come out the
-    same."""
-    if len(base) == 1:
-        return base, IntMatrix(rows)
-    owners = sorted(
-        (p, j, e) for j, f in enumerate(_factor_batch(base)) for p, e in f.items()
-    )
-    return [p for p, _, _ in owners], IntMatrix([[row[j] * e for _, j, e in owners] for row in rows])
+def _by_least_prime(base: List[int], rows: List[List[int]]) -> Tuple[List[int], IntMatrix]:
+    """The base sorted by least prime factor, and the IntMatrix of rows
+    with its columns in that order. _small_part gives the least prime of an
+    element with one below 2^12; the others take the key 2^12, above those,
+    and are factored in one batch only when two or more must be ordered.
+
+    The bytes are those of a column per prime p | b_j: column j times
+    v_p(b_j) > 0. hnf's choices (least |entry|, first on ties; //; sign
+    flips) are blind to positive column scales, and it skips a second
+    prime's column, already cleared below the pivot. So U is the same, the
+    kernel too, prod(p ** h) = prod(b ** h), and each pivot falls on the
+    element with the least least prime, so back-substitution is the same."""
+    least = {b: min(_small_part(b)[0], default=_SMALL_BOUND) for b in base}
+    large = [b for b in base if least[b] == _SMALL_BOUND]
+    if len(large) > 1:
+        least.update(zip(large, map(min, _factor_batch(large))))
+    order = sorted(range(len(base)), key=lambda j: least[base[j]])
+    return [base[j] for j in order], IntMatrix([[row[j] for j in order] for row in rows])
 
 
 def independent_over_coprime_base(products: Sequence[Sequence[Tuple[int, int]]]) -> bool:
@@ -369,18 +368,17 @@ def relation_lattice(P: Sequence[Fraction]) -> LatticeBasis:
 
     The |x_i| get exponent rows over the coprime base of their numerators
     and denominators. Rank n there means an independent point, which gets
-    the zero lattice without any prime factoring (a relation among the x_i
-    would square to one among the |x_i|). Otherwise each base element is
-    factored once, the left kernel of the prime-exponent matrix A handles
-    absolute values, and the sign condition is a parity functional on that
-    kernel, cutting out a sublattice of index at most 2.
+    the zero lattice without ordering the base (a relation among the x_i
+    would square to one among the |x_i|). Otherwise the left kernel of
+    _by_least_prime's matrix handles absolute values; the sign condition,
+    a parity functional on it, cuts out a sublattice of index at most 2.
     """
     pt = _check_point(P)
     n = len(pt)
     base, rows = _point_rows(pt)
     if rank(rows) == n:
         return LatticeBasis(n, ())
-    _, A = _prime_matrix(base, rows)
+    _, A = _by_least_prime(base, rows)
     vecs = list(left_kernel(A))
     odd = [i for i, v in enumerate(vecs) if sum(a for a, x in zip(v, pt) if x < 0) % 2]
     if odd:
@@ -417,20 +415,21 @@ class Decomposition:
 def decompose(P: Sequence[Fraction]) -> Decomposition:
     """Torsion/free decomposition of the group generated by the coordinates.
 
-    The primes come from factoring each element of the coordinates' coprime
-    base once (a base of one element stands for its primes unfactored). The generators are the nonzero rows of the HNF of the
-    prime-exponent matrix, and each coordinate's exponent row comes from
-    back-substitution against those rows at their pivot columns.
+    The coordinates' exponent rows over their coprime base, its columns
+    ordered by _by_least_prime, go through one HNF. Each nonzero row h of
+    it gives a generator prod(b ** h) over the ordered base, and each
+    coordinate's exponent row comes from back-substitution against those
+    rows at their pivot columns.
     """
     pt = _check_point(P)
-    primes, A = _prime_matrix(*_point_rows(pt))
+    base, A = _by_least_prime(*_point_rows(pt))
     h, _ = hnf(A)
     gen_rows = [row for row in h.entries if any(row)]
     pivots = [next(j for j, x in enumerate(row) if x) for row in gen_rows]
     generators = []
     for row in gen_rows:
-        num = math.prod(p ** e for p, e in zip(primes, row) if e > 0)
-        den = math.prod(p ** -e for p, e in zip(primes, row) if e < 0)
+        num = math.prod(b ** e for b, e in zip(base, row) if e > 0)
+        den = math.prod(b ** -e for b, e in zip(base, row) if e < 0)
         generators.append(Fraction(num, den))
     exp_rows = []
     for residual in A.entries:

@@ -4,6 +4,7 @@ against sympy.factorint, and the rho steps it charges; the coprime base; the ran
 route alone; and decompose against decompose_oracle."""
 import functools
 import importlib.util
+import json
 import math
 import random
 import sys
@@ -299,6 +300,16 @@ SPECIAL_POINTS = [
     (F(BIG_P, BIG_Q), F(-BIG_P ** 3), F(BIG_Q ** 2)),
     (F(BIG_P ** 2), F(-BIG_P)),
     (F(2, BIG_P ** 3), F(-3)),
+    # base elements whose order by value (63, 143, 250) is not their order
+    # by least prime (250 = 2 * 5^3, 63 = 3^2 * 7, 143 = 11 * 13)
+    (F(63), F(250 ** 2), F(-63), F(-250)),
+    (F(250), F(63), F(250 * 63), F(63, 143), F(143, 250)),
+    # a lone element with no prime below 2^12 sorts last unfactored: BIG_P
+    # beside 6, and 4099, first by value, beside 2 * BIG_P
+    (F(BIG_P), F(6), F(6 * BIG_P)),
+    (F(4099), F(4099 ** 2), F(-4099), F(-2 * BIG_P)),
+    # two such elements, whose order by value is not by least prime
+    (F(4111), F(4111 ** 2), F(-4111), F(-4099 * BIG_P)),
 ]
 
 
@@ -318,21 +329,31 @@ def test_independent_point_is_not_factored(monkeypatch):
     calls = _spy_on_batches(monkeypatch)
     assert relation_lattice((F(6), F(-35, 11), F(1000003))).is_zero()
     assert is_primitively_dependent((F(6), F(10))) is None
-    assert calls == []
-    # base {2, 3, 5}: a one-element base is not factored at all
+    # base {2, 3, 5}: every element has a prime below 2^12
     assert not relation_lattice((F(6), F(-36), F(10))).is_zero()
-    assert calls
+    assert calls == []
 
 
 def test_dependent_point_factors_each_base_element_once(monkeypatch):
     calls = _spy_on_batches(monkeypatch)
     assert not relation_lattice((F(6), F(-36))).is_zero()
-    assert calls == []  # base {6}: one element stands for its primes
-    calls.clear()
-    # x5 = x4^2 * x1
+    # base {2 * BIG_P * BIG_Q, 3}: 2 orders the first, whose cofactor (a
+    # semiprime beyond the rho budget) is never factored
+    assert not relation_lattice((F(2 * BIG_P * BIG_Q), F(3), F(6 * BIG_P * BIG_Q))).is_zero()
+    # x5 = x4^2 * x1, base {2, 3, 5, 7, BIG_P}: a lone large element sorts
+    # last unfactored
     point = (F(12, 35), F(-18, 49), F(5, 6), F(7 * BIG_P, 2), F(21 * BIG_P ** 2, 5))
     assert not relation_lattice(point).is_zero()
-    assert calls == [coprime_base([12, 35, 18, 49, 5, 6, 7 * BIG_P, 2, 21 * BIG_P ** 2, 5])]
+    assert decompose(point).generators[-1] == BIG_P
+    assert calls == []
+    # base {2, 3, 5, 7, BIG_Q, BIG_P}: the batch holds exactly the elements
+    # with no prime below 2^12
+    point = (F(BIG_P), F(BIG_Q, 35), F(6 * BIG_P ** 2), F(2), F(3))
+    assert not relation_lattice(point).is_zero()
+    assert calls == [[BIG_Q, BIG_P]]
+    calls.clear()
+    decompose(point)
+    assert calls == [[BIG_Q, BIG_P]]
 
 
 def test_huge_independent_point_answers_fast():
@@ -342,11 +363,25 @@ def test_huge_independent_point_answers_fast():
     assert time.perf_counter() - start < 1.0
 
 
-def test_huge_decompose_hits_the_budget(capsys):
+def _main_json(capsys, argv):
+    capsys.readouterr()
+    assert main(argv) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_huge_point_commands_answer_fast(capsys):
+    """HUGE = 47 * 317 * ..., so 47 orders it without factoring the rest."""
     start = time.perf_counter()
-    assert main(["decompose", "--point", f"{HUGE},2"]) == 2
-    assert time.perf_counter() - start < 10.0
-    assert capsys.readouterr().err.startswith("error:")
+    out = _main_json(capsys, ["decompose", "--point", f"{HUGE},2"])
+    assert time.perf_counter() - start < 1.0
+    assert (out["generators"], out["exponents"]) == (["2", str(HUGE)], [[0, 1], [1, 0]])
+    start = time.perf_counter()
+    point = f"{HUGE},-{HUGE},2"
+    assert _main_json(capsys, ["depends", "--point", point])["relations"] == [[2, -2, 0]]
+    assert _main_json(capsys, ["primitive", "--point", point])["relation"] is None
+    out = _main_json(capsys, ["decompose", "--point", point])
+    assert time.perf_counter() - start < 1.0
+    assert (out["generators"], out["exponents"]) == (["2", str(HUGE)], [[0, 1], [0, 1], [1, 0]])
 
 
 def test_four_huge_composites_decompose_hits_the_budget(capsys):
@@ -385,6 +420,11 @@ DECOMPOSE_POINTS = SPECIAL_POINTS + [
     (F(12), F(18), F(12)),
     (F(-5, 7), F(5, 7), F(5, 7)),
     (F(BIG_P, 3), F(-BIG_P, 3), F(2)),
+    (F(250), F(63, 143), F(250 ** 2 * 143, 63)),
+    (F(143), F(-63), F(250), F(143 * 63 * 250)),
+    (F(6, BIG_P), F(-BIG_P), F(36)),
+    (F(4099, 2 * BIG_P), F(-(2 * BIG_P) ** 2), F(4099 ** 3)),
+    (F(4111), F(4099 * BIG_P), F(4127 * BIG_Q), F(4111 * 4127 * BIG_Q, 4099 * BIG_P)),
 ]
 
 

@@ -69,6 +69,28 @@ def test_hnf_random_properties():
         _is_hnf(H)
 
 
+def test_hnf_choices_ignore_positive_column_scales_and_repeats():
+    """hnf picks rows by least |entry| (the first on ties), divides with //
+    and flips signs, and no positive column scale changes these choices; a
+    positive multiple of an earlier column is already cleared below the
+    pivot, so hnf skips it. Scaling columns and inserting such multiples
+    therefore keeps U, and H's columns follow M's. The dependence engine's
+    matrix over a coprime base gives the prime matrix's bytes by this."""
+    rng = random.Random(18)
+    for _ in range(300):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        M = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+        # (column of M, positive factor) for each column of the new matrix
+        spec = [(j, rng.randint(1, 6)) for j in range(cols)]
+        for _ in range(rng.randint(0, 3)):
+            at = rng.randint(1, len(spec))
+            spec.insert(at, (rng.choice(spec[:at])[0], rng.randint(1, 6)))
+        H, U = hnf(IntMatrix(M))
+        H2, U2 = hnf(IntMatrix([[row[j] * k for j, k in spec] for row in M]))
+        assert U2 == U
+        assert H2 == IntMatrix([[row[j] * k for j, k in spec] for row in H.entries])
+
+
 def test_kernel_examples():
     assert kernel_basis(IntMatrix([[3, 0], [0, 1], [-3, -1]])).is_zero()
     k = kernel_basis(IntMatrix([[1, -1]]))
@@ -91,6 +113,21 @@ def test_kernel_random_properties():
         # Saturation: scaled vectors still reduce into the lattice.
         for v in k.vectors:
             assert express_in_basis(tuple(3 * x for x in v), k) is not None
+
+
+def test_lattice_basis_rejects_dependent_vectors():
+    with pytest.raises(DomainError, match="linearly dependent"):
+        LatticeBasis(2, ((1, 2), (-2, -4)))
+
+
+def test_lattice_basis_rejects_a_vector_of_the_wrong_length():
+    with pytest.raises(DomainError, match="ambient dimension"):
+        LatticeBasis(3, ((1, 2, 3), (1, 2)))
+
+
+def test_ragged_matrix_rejected():
+    with pytest.raises(DomainError, match="ragged"):
+        IntMatrix([[1, 2], [3]])
 
 
 def test_min_content_examples():
