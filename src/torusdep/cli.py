@@ -22,6 +22,7 @@ from .errors import (
     ParseError,
     PreconditionError,
 )
+from .exactcore import render
 from .explorer import (
     AnalysisConfig,
     analyze,
@@ -140,7 +141,7 @@ def _cmd_decompose(args) -> int:
         "point": [str(x) for x in point],
         "rank": dec.rank,
         "signs": list(dec.signs),
-        "generators": [str(g) for g in dec.generators],
+        "generators": [render(g) for g in dec.generators],
         "exponents": [list(row) for row in dec.exponents.entries],
     }
     _emit(payload, args.format)

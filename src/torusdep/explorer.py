@@ -21,7 +21,7 @@ from .curvegeom import (
 )
 from .errors import DomainError, InvariantViolation
 from .exactcore import Poly, cyclotomic_poly, factor_key, factor_poly, int_shift, nth_power_in_Q, render
-from .intlattice import primitive_witness, rank
+from .intlattice import IntMatrix, kernel_basis, primitive_witness, rank
 from .multdep import (
     independent_over_coprime_base,
     point_height,
@@ -36,8 +36,8 @@ MAX_FIBER_DEGREE = 4096
 # factor_poly must factor it.
 MAX_FALLBACK_DEGREE = 64
 # Budget on the scan height H: the scan visits about 2*H**2 parameters.
-# Whole analyze calls on t*(t+1); (t-2)/(t+3); t-5 took 0.8 s at H = 400
-# and 2.4 s at H = 1000 on a shared 2-vCPU VM.
+# Whole analyze calls on t*(t+1); (t-2)/(t+3); t-5 took 1.3 s at H = 400
+# and 3.0 s at H = 1000 on a shared 2-vCPU VM (medians of 5 fresh processes).
 MAX_SCAN_HEIGHT = 1000
 
 
@@ -213,10 +213,11 @@ def _place_forms(curve: CurveData) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[F
 
 def _private_survivors(
     curve: CurveData, forms: Sequence[Tuple[int, ...]], consts: Sequence[Fraction], H: int
-) -> Iterator[Tuple[int, int, List[int]]]:
+) -> Iterator[Tuple[int, int, List[int], int]]:
     """The coprime (p, q) with max(|p|, q) <= H and no finite F_P(p, q) = 0
     that the private-part filter keeps, each with its values
-    v_P = |F_P(p, q)| (forms and consts from _place_forms).
+    v_P = |F_P(p, q)| (forms and consts from _place_forms) and its mask,
+    bit k set iff the k-th place has r_P > 1.
 
     The private part r_P of v_P is v_P without the primes of
     C * prod_{Q != P} v_Q, C = prod_i |num c_i| * den c_i. A prime l of r_P
@@ -226,8 +227,9 @@ def _private_survivors(
     F_P = w*p - u*q primitive, first: a prime l of v_P puts (p : q) at
     (u : w) mod l, so r_P > 1 iff a prime of v_P is outside
     R_P = C * prod_{Q != P} |F_Q(u, w)|, and a parameter is dropped at its
-    first set of rank n. Degree 2 or more (never 0 at a coprime (p, q)):
-    v_P stripped by repeated gcd.
+    first set of rank n. At infinity v_P = q, so its bit is decided once
+    per row and starts the mask. Degree 2 or more (never 0 at a coprime
+    (p, q)): v_P stripped by repeated gcd.
     """
     rows = curve.divisor_matrix.entries
     C = math.prod(abs(c.numerator) * c.denominator for c in consts)
@@ -236,20 +238,22 @@ def _private_survivors(
     def full_rank(mask: int) -> bool:
         sub = [r for k, r in enumerate(rows) if mask >> k & 1]
         return len(sub) >= curve.n and rank(sub) == curve.n
-    linear = []  # (bit, form, R_P) per degree-1 place
-    for k, f in enumerate(forms):
+    linear, infinity = [], []  # (bit, form, R_P) per finite degree-1 place, and at infinity
+    for k, (place, f) in enumerate(zip(curve.place_index, forms)):
         if len(f) == 2:  # every other F_Q at its root (-f[0] : f[1])
             at_root = [sum(a * (-f[0]) ** j * f[1] ** (len(g) - 1 - j) for j, a in enumerate(g))
                        for g in forms if g != f]
-            linear.append((1 << k, f, C * abs(math.prod(at_root))))
+            (infinity if place.is_infinity else linear).append((1 << k, f, C * abs(math.prod(at_root))))
     higher = [k for k, f in enumerate(forms) if len(f) > 2]
     for q in range(1, H + 1):
+        # one row of D has rank 1 < n: the bit at infinity drops no row
+        start = sum(bit for bit, _f, R in infinity if pow(R, q.bit_length(), q))
         # coefficients from the top, the k-th times q**k: Horner in p alone
         scaled = [[a * q ** k for k, a in enumerate(reversed(f))] for f in forms]
         for p in range(-H, H + 1):
             if math.gcd(p, q) != 1:
                 continue
-            mask = 0
+            mask = start
             for bit, (a0, a1), R in linear:
                 v = abs(a1 * p + a0 * q)
                 if not v:
@@ -275,7 +279,25 @@ def _private_survivors(
                     if v > 1:
                         mask |= 1 << k
                 if not full_rank(mask):
-                    yield p, q, values
+                    yield p, q, values, mask
+
+
+def _sub_torus(
+    rows: Sequence[Sequence[int]], consts: Sequence[Fraction], mask: int
+) -> List[Tuple[List[Tuple[int, int]], List[Tuple[int, int]]]]:
+    """One monomial |y| = |x|**k per vector k of a basis of K, the kernel of
+    the rows of D of the places in mask (all of Z^n when mask is 0): its
+    (integer, exponent) pairs from the |c_i|, and its (place, exponent)
+    pairs, the exponent at P being D[P] . k. Zero exponents are left out,
+    and so is every place of mask."""
+    sub = [r for k, r in enumerate(rows) if mask >> k & 1] or [[0] * len(consts)]
+    monomials = []
+    for vec in kernel_basis(IntMatrix(sub)).vectors:
+        const = [(v, s * e) for c, e in zip(consts, vec) if e
+                 for v, s in ((abs(c.numerator), 1), (c.denominator, -1))]
+        places = [(k, sum(a * e for a, e in zip(row, vec))) for k, row in enumerate(rows)]
+        monomials.append((const, [(k, m) for k, m in places if m]))
+    return monomials
 
 
 def scan_dependent(
@@ -298,10 +320,13 @@ def scan_dependent(
     prove independence, each place decided by one rule: a resultant
     certificate at degree 1, a gcd strip at degree 2 or more. For the rest,
     the point is dependent iff the |x_i| are (a relation among them doubles
-    to one among the x_i), which multdep.independent_over_coprime_base
-    decides from the c_i and the values by gcds alone. Only dependent
-    parameters are evaluated and passed to relation_lattice; a zero lattice
-    there means the two routes disagree and raises InvariantViolation.
+    to one among the x_i). Such a relation a has D[P] . a = 0 at every
+    private place P, so it lies in the kernel of those rows, and the point
+    is dependent iff the _sub_torus monomials of that kernel's basis are,
+    which multdep.independent_over_coprime_base decides from the c_i and
+    the other values by gcds alone. Only dependent parameters are evaluated
+    and passed to relation_lattice; a zero lattice there means the two
+    routes disagree and raises InvariantViolation.
     """
     curve.require_proper()
     if characters is None:
@@ -313,15 +338,10 @@ def scan_dependent(
     )
     forms, consts = _place_forms(curve)
     rows = curve.divisor_matrix.entries
-    # per coordinate: |c_i| as (integer, exponent) pairs, and its places
-    constants = [[(abs(c.numerator), 1), (c.denominator, -1)] for c in consts]
-    supports = [[(k, row[i]) for k, row in enumerate(rows) if row[i]] for i in range(curve.n)]
+    monomials = functools.cache(functools.partial(_sub_torus, rows, consts))
     records = []
-    for p, q, values in _private_survivors(curve, forms, consts, config.scan_height_bound):
-        products = [
-            const + [(values[k], m) for k, m in support]
-            for const, support in zip(constants, supports)
-        ]
+    for p, q, values, mask in _private_survivors(curve, forms, consts, config.scan_height_bound):
+        products = [const + [(values[k], m) for k, m in places] for const, places in monomials(mask)]
         if independent_over_coprime_base(products):
             continue
         t0 = Fraction(p, q)

@@ -264,10 +264,11 @@ def scan_oracle(
 
 def private_survivors_oracle(
     curve: CurveData, forms: Sequence[Tuple[int, ...]], consts: Sequence[Fraction], H: int
-) -> Iterator[Tuple[int, int, List[int]]]:
+) -> Iterator[Tuple[int, int, List[int], int]]:
     """The coprime (p, q) with max(|p|, q) <= H and no finite F_P(p, q) = 0
     that the private-part filter keeps, each with its values
-    v_P = |F_P(p, q)| (forms and consts from _place_forms).
+    v_P = |F_P(p, q)| (forms and consts from _place_forms) and its mask,
+    bit k set iff the k-th place has r_P > 1.
 
     The private part r_P is v_P stripped, by repeated gcd, of every prime
     it shares with C * prod_{Q != P} v_Q, C = prod_i |num c_i| * den c_i.
@@ -306,7 +307,7 @@ def private_survivors_oracle(
             if mask not in full_rank:
                 full_rank[mask] = rank([r for k, r in enumerate(rows) if mask >> k & 1]) == curve.n
             if not full_rank[mask]:
-                yield p, q, values
+                yield p, q, values, mask
 
 
 @functools.lru_cache(maxsize=None)

@@ -15,8 +15,8 @@ have rank below n and one with places of degree 2, were taken at commit
 fa0fa74, before a degree-1 place's certificate became its only test and
 the gcd strip was kept for places of degree 2 or more alone. A curve with
 a 4300-digit constant must answer at sweep bound 50 within a timeout, and
-one whose output would hold an integer past Python's int-to-str limit
-must exit 2 with an error line."""
+a curve or point whose output would hold an integer past Python's
+int-to-str limit must exit 2 with an error line."""
 import contextlib
 import hashlib
 import io
@@ -85,6 +85,9 @@ def test_4300_digit_constant_answers():
 
 
 SEVENS, NINES = "7" * 4300, "9" * 4300
+# coordinates of 1657 and 2079 digits, inside MAX_LITERAL_DIGITS
+K = 1200
+BIG_POINT = f"{2 ** (3 * K) * 3 ** K},{2 ** K * 3 ** (3 * K)}"
 
 
 @pytest.mark.parametrize(
@@ -96,8 +99,10 @@ SEVENS, NINES = "7" * 4300, "9" * 4300
         ["analyze", "--curve", f"{SEVENS}*t; t+1", "--torsion-order", "2", "--scan-height", "50"],
         # the character constant has 8600 digits
         ["phi", "--curve", f"{NINES}*{NINES}*t; t+1"],
+        # a generator of the group of the point has more than 4300 digits
+        ["decompose", "--point", BIG_POINT],
     ],
-    ids=["analyze-fibers", "analyze-scan", "phi"],
+    ids=["analyze-fibers", "analyze-scan", "phi", "decompose"],
 )
 def test_output_integer_past_str_limit_exits_2(argv):
     done = subprocess.run(

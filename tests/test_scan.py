@@ -4,8 +4,10 @@ builds relation lattices only for dependent parameters; scan_oracle builds
 one at every parameter. The two must give identical records. The filter
 decides each degree-1 place by its resultant certificate and each place of
 degree 2 or more by a gcd strip; private_survivors_oracle strips every
-place at every parameter, and the two must yield identical (p, q, values)
-streams."""
+place at every parameter, and the two must yield identical
+(p, q, values, mask) streams. A survivor is then tested on the kernel of
+its private places' rows, which must give the verdict of the n
+coordinates."""
 import json
 import math
 import random
@@ -23,11 +25,12 @@ from torusdep.explorer import (
     AnalysisConfig,
     _place_forms,
     _private_survivors,
+    _sub_torus,
     parse_curve,
     scan_dependent,
 )
 from torusdep.intlattice import LatticeBasis, rank
-from torusdep.multdep import relation_lattice
+from torusdep.multdep import independent_over_coprime_base, relation_lattice
 
 BENCH_CURVES = ["(t-1)^2; t", "(t-1)^3; t", "2*t/(t+1); t^(-2)", "t*(t+1); (t-2)/(t+3); t-5"]
 NO_INFINITY = "(t+1)/(t-1); (2*t+3)/(t-5)"
@@ -103,7 +106,7 @@ def _swept(curve, H):
 
 def _survivors(curve, H):
     forms, consts = _place_forms(curve)
-    return [(p, q) for p, q, _values in _private_survivors(curve, forms, consts, H)]
+    return [(p, q) for p, q, _values, _mask in _private_survivors(curve, forms, consts, H)]
 
 
 @pytest.mark.parametrize("text", BENCH_CURVES + [NO_INFINITY, QUADRATIC_PLACE])
@@ -258,6 +261,37 @@ def test_filter_stream_matches_oracle_where_resultants_share_small_primes():
         swept += sum(1 for _p, _q, point in _swept(curve, H) if point is not None)
         kept += len(_same_stream(curve, H))
     assert kept > 0.05 * swept
+
+
+def _verdicts(curve, H):
+    """For every survivor, assert that the sub-torus verdict, on the
+    monomials over the kernel of its private rows, equals the verdict on
+    the n products |x_i|; return each survivor's (mask is 0, kernel rank,
+    dependent)."""
+    forms, consts = _place_forms(curve)
+    rows = curve.divisor_matrix.entries
+    constants = [[(abs(c.numerator), 1), (c.denominator, -1)] for c in consts]
+    supports = [[(k, row[i]) for k, row in enumerate(rows) if row[i]] for i in range(curve.n)]
+    seen = []
+    for p, q, values, mask in _private_survivors(curve, forms, consts, H):
+        whole = [const + [(values[k], m) for k, m in support] for const, support in zip(constants, supports)]
+        monomials = _sub_torus(rows, consts, mask)
+        assert all(not mask >> k & 1 for _const, places in monomials for k, _m in places)
+        sub = [const + [(values[k], m) for k, m in places] for const, places in monomials]
+        independent = independent_over_coprime_base(whole)
+        assert independent_over_coprime_base(sub) == independent, (p, q)
+        seen.append((mask == 0, len(monomials), not independent))
+    return seen
+
+
+def test_sub_torus_verdict_matches_whole_point():
+    curves = _random_proper_curves(40, seed=4242) + _shared_prime_curves(40, seed=16)
+    curves += [(parse_curve(QUADRATIC_PLACE), 30), (parse_curve(NO_INFINITY), 30)]
+    curves += [(parse_curve(text), H) for text, H, _place in MORE_CURVES]
+    seen = [kind for curve, H in curves for kind in _verdicts(curve, H)]
+    assert any(zero_mask for zero_mask, _s, _dep in seen)
+    assert any(s >= 2 for _zero, s, _dep in seen)
+    assert any(dep for *_kind, dep in seen) and not all(dep for *_kind, dep in seen)
 
 
 def _strip(v, R):
