@@ -212,12 +212,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     # argparse would read a value such as -1,0 or -t;t+1 as an option: join
-    # it to its option, unless it names or abbreviates an option of the parser
+    # it to its option (named in full or by an unambiguous abbreviation),
+    # unless it names or abbreviates an option of the parser
     commands = next(action.choices for action in parser._actions if action.choices)
     options = [o for p in commands.values() for o in p._option_string_actions]
+    own = commands[argv[0]]._option_string_actions if argv and argv[0] in commands else {}
     for i in range(len(argv) - 1, 0, -1):
         head = argv[i].partition("=")[0]
-        if argv[i - 1] in ("--curve", "--char", "--point") and head.startswith("-"):
+        named = [o for o in own if o.startswith(argv[i - 1])]
+        if named in (["--curve"], ["--char"], ["--point"]) and head.startswith("-"):
             if not any(o.startswith(head) for o in options):
                 argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = parser.parse_args(argv)

@@ -253,7 +253,9 @@ def phi_enumerate(curve: CurveData) -> List[NormalizedCharacter]:
     Candidate place pairs are drawn from the degree-1 places in the union
     of the coordinate-divisor supports; for each pair the kernel of the
     divisor matrix with those two rows deleted has rank at most 1 under
-    the standing hypothesis, and a rank-1 kernel yields one +- pair.
+    the standing hypothesis, and a rank-1 kernel yields one +- pair, whose
+    divisor D·a is supported on exactly the two places: it has degree 0
+    and, by the hypothesis, is not zero.
     Raises what CurveData.require_proper raises.
     """
     curve.require_proper()
@@ -282,10 +284,6 @@ def phi_enumerate(curve: CurveData) -> List[NormalizedCharacter]:
             a = kernel.vectors[0]
             if content(a) != 1:
                 raise InvariantViolation("saturated kernel produced an imprimitive vector")
-            image = curve.divisor_matrix.mul_vec(a)
-            support = {r for r, v in enumerate(image) if v != 0}
-            if support != {rational[ii], rational[jj]}:
-                continue
             found.setdefault(a, None)
             found.setdefault(tuple(-x for x in a), None)
     return [normalize_character(curve, a) for a in sorted(found)]

@@ -167,14 +167,6 @@ class Poly:
     def __mod__(self, other):
         return divmod(self, other)[1]
 
-    def shift(self, a) -> "Poly":
-        """p(t + a), from int_shift of p's coefficients over their common
-        denominator D: with a = u/v, that gives v**deg * D * p(t + a)."""
-        D = math.lcm(*(c.denominator for c in self.coeffs))
-        scale = D * _frac(a).denominator ** max(self.degree, 0)
-        cs = [c.numerator * (D // c.denominator) for c in self.coeffs]
-        return Poly([Fraction(x, scale) for x in int_shift(cs, a)])
-
     def divides(self, other: "Poly") -> bool:
         if self.is_zero():
             return other.is_zero()

@@ -1,5 +1,7 @@
 """Exact integer linear algebra: Hermite normal form with transform,
-integer kernels, and content/primitivity queries on lattices.
+integer kernels, and content/primitivity queries on lattices. A content-1
+lattice vector is read off the basis rows as the first Smith pivot stage
+reduces them, with no inverse column transform.
 
 Conventions: row-style HNF, positive pivots, entries above a pivot reduced
 into [0, pivot). Everything is arbitrary-precision Python integers.
@@ -189,84 +191,54 @@ def min_content(B: LatticeBasis) -> int:
     return math.gcd(*[abs(x) for v in B.vectors for x in v])
 
 
-def _smith_first_witness(B: LatticeBasis) -> Vector:
-    """A lattice vector of content equal to min_content(B).
+def primitive_witness(B: LatticeBasis) -> Optional[Vector]:
+    """A content-1 lattice vector, if min_content(B) == 1; else None.
 
-    Runs the first pivot stage of Smith reduction, tracking the inverse of
-    the column transform; the witness is d1 times the first row of T^{-1}.
+    Runs the first pivot stage of Smith reduction on W, a copy of the basis
+    rows, and applies each row operation to a second copy V as well; column
+    operations touch W alone, so W = V·T with T unimodular throughout. The
+    gcd of W's entries stays 1, so a pivot of 1 comes up, and then
+    content(V[0]) = content(W[0]) = 1: V[0] is the witness (Cohen, GTM 138,
+    section 2.4).
     """
+    if min_content(B) != 1:
+        return None
     w = [list(v) for v in B.vectors]
+    basis = [list(v) for v in B.vectors]
     n = B.ambient
-    tinv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    rows = len(w)
-
-    def col_add(dst: int, src: int, k: int):
-        # column op: col dst += k * col src; inverse acts on rows of tinv.
-        for r in range(rows):
-            w[r][dst] += k * w[r][src]
-        tinv[src] = [a - k * b for a, b in zip(tinv[src], tinv[dst])]
-
-    def col_swap(i: int, j: int):
-        for r in range(rows):
-            w[r][i], w[r][j] = w[r][j], w[r][i]
-        tinv[i], tinv[j] = tinv[j], tinv[i]
-
-    def col_negate(j: int):
-        for r in range(rows):
-            w[r][j] = -w[r][j]
-        tinv[j] = [-a for a in tinv[j]]
-
     while True:
-        # Move a minimal nonzero entry to (0, 0).
-        best = None
-        for i in range(rows):
-            for j in range(n):
-                if w[i][j] != 0 and (best is None or abs(w[i][j]) < abs(w[best[0]][best[1]])):
-                    best = (i, j)
-        assert best is not None
-        bi, bj = best
-        if bi != 0:
-            w[0], w[bi] = w[bi], w[0]
-        if bj != 0:
-            col_swap(0, bj)
+        # Move the first minimal nonzero entry (row-major) to (0, 0).
+        bi, bj = min(
+            ((i, j) for i, row in enumerate(w) for j, x in enumerate(row) if x),
+            key=lambda ij: abs(w[ij[0]][ij[1]]),
+        )
+        w[0], w[bi] = w[bi], w[0]
+        basis[0], basis[bi] = basis[bi], basis[0]
+        p = abs(w[0][bj])
+        if p == 1:
+            assert content(basis[0]) == 1
+            return _sign_normalized(basis[0])
+        for row in w:
+            row[0], row[bj] = row[bj], row[0]
         if w[0][0] < 0:
-            col_negate(0)
-        p = w[0][0]
+            for row in w:
+                row[0] = -row[0]
         dirty = False
         for j in range(1, n):
             q = w[0][j] // p
             if q:
-                col_add(j, 0, -q)
-            if w[0][j] != 0:
-                dirty = True
-        for i in range(1, rows):
+                for row in w:
+                    row[j] -= q * row[0]
+            dirty = dirty or w[0][j] != 0
+        for i in range(1, len(w)):
             q = w[i][0] // p
             if q:
                 w[i] = [a - q * b for a, b in zip(w[i], w[0])]
-            if w[i][0] != 0:
-                dirty = True
-        if dirty:
-            continue
-        # Pivot must divide every remaining entry for d1 = gcd of all.
-        offender = None
-        for i in range(1, rows):
-            for j in range(1, n):
-                if w[i][j] % p != 0:
-                    offender = (i, j)
-                    break
-            if offender:
-                break
-        if offender is None:
-            break
-        col_add(0, offender[1], 1)
-    d1 = w[0][0]
-    return tuple(d1 * x for x in tinv[0])
-
-
-def primitive_witness(B: LatticeBasis) -> Optional[Vector]:
-    """A content-1 lattice vector, if min_content(B) == 1; else None."""
-    if min_content(B) != 1:
-        return None
-    v = _smith_first_witness(B)
-    assert content(v) == 1
-    return _sign_normalized(v)
+                basis[i] = [a - q * b for a, b in zip(basis[i], basis[0])]
+            dirty = dirty or w[i][0] != 0
+        if not dirty:
+            # p > 1 divides row 0 and column 0, so some other entry is not a
+            # multiple of p: add the first such entry's column to column 0.
+            j = next(j for row in w[1:] for j in range(1, n) if row[j] % p)
+            for row in w:
+                row[0] += row[j]

@@ -1,5 +1,6 @@
 """Exhaustive oracles the tests compare the library against: phi_oracle
-factors every small monomial product on the curve instead of working from
+multiplies out every small monomial product on the curve and tests it for
+a two-point rational divisor without factoring instead of working from
 the divisor matrix, dependence_oracle multiplies out every small exponent
 vector instead of factoring the coordinates, scan_oracle evaluates
 every coordinate and builds the relation lattice at every parameter instead
@@ -17,8 +18,8 @@ rational function into another in sympy.Poly alone, so no oracle composes
 with the library's own arithmetic. power_fiber_oracle factors the numerator
 of phi**N - 1 instead of mapping cyclotomic factors of the normal form back
 through the Moebius change, map_back_oracle maps a factor back
-through the Moebius change with Poly.shift over Fractions instead of on
-integer coefficient lists, cyclotomic_poly_oracle divides t**n - 1 by
+through the Moebius change by its own Horner composition over Fractions
+instead of int_shift on integer coefficient lists, cyclotomic_poly_oracle divides t**n - 1 by
 every Phi_d instead of building Phi_n from its radical, and
 decompose_oracle solves each coordinate's exponent row with
 express_in_basis (its own HNF and transform) over the sympy-factored prime
@@ -52,9 +53,11 @@ from torusdep.explorer import AnalysisConfig, ScanRecord
 from torusdep.intlattice import (
     IntMatrix,
     LatticeBasis,
+    _sign_normalized,
     content,
     hnf,
     kernel_basis,
+    min_content,
     primitive_witness,
     rank,
 )
@@ -142,22 +145,54 @@ def phi_oracle(curve: CurveData, B: int) -> List[Character]:
     """Exhaustive oracle: all primitive exponent vectors with sup-norm at
     most B whose restricted character has a two-point rational divisor.
 
-    Factors the actual monomial product, independently of the divisor
-    matrix route used by phi_enumerate. Test use only.
+    Multiplies out the actual monomial product over ZZ in sympy.Poly (the
+    coordinates' constants dropped, which leaves the divisor alone), reduces
+    it once, and decides the two places with two_point_divisor_oracle,
+    independently of the divisor matrix route used by phi_enumerate. Test
+    use only.
     """
     if check_assumption(curve) is not None:
         raise PreconditionError("curve violates the standing hypothesis")
     if B < 1:
         raise DomainError("oracle bound must be positive")
+    t = sympy.Symbol("t")
+    sides = [
+        [_to_sympy_poly(p, t).clear_denoms(convert=True)[1] for p in (f.num, f.den)]
+        for f in curve.coords
+    ]
     out: List[Character] = []
     for a in _box_vectors(curve.n, B):
         # div(x**-a) = -div(x**a): visit one of each +- pair, keep both
         if next(x for x in a if x) < 0 or content(a) != 1:
             continue
-        items = divisor_of(character_restrict(curve, a)).items()
-        if len(items) == 2 and all(p.degree == 1 for p, _ in items):
+        num = den = sympy.Poly(1, t, domain="ZZ")
+        for (fn, fd), e in zip(sides, a):
+            if e < 0:
+                fn, fd, e = fd, fn, -e
+            num, den = num * fn ** e, den * fd ** e
+        num, den = num.cancel(den, include=True)
+        if two_point_divisor_oracle([int(c) for c in num.all_coeffs()], [int(c) for c in den.all_coeffs()]):
             out.extend((a, tuple(-x for x in a)))
     return sorted(out)
+
+
+def _pure_power(cs: Sequence) -> bool:
+    """Whether cs (coefficients, highest first, degree m >= 1) is
+    lc*(t - r)**m, with r read off the second-highest coefficient."""
+    m = len(cs) - 1
+    r = Fraction(-cs[1], m * cs[0])
+    return all(c == cs[0] * math.comb(m, k) * (-r) ** k for k, c in enumerate(cs))
+
+
+def two_point_divisor_oracle(num: Sequence, den: Sequence) -> bool:
+    """Whether num/den (coprime, coefficients highest first) has a divisor
+    on exactly two places, both rational: c*(t - p)**m/(t - q)**m, or one
+    side constant and the other c*(t - p)**m, infinity being the second
+    place. Decided without factoring. Test use only."""
+    dn, dd = len(num) - 1, len(den) - 1
+    if dn and dd:
+        return dn == dd and _pure_power(num) and _pure_power(den)
+    return dn + dd > 0 and _pure_power(num if dn else den)
 
 
 def _box_vectors(n: int, B: int):
@@ -308,6 +343,91 @@ def private_survivors_oracle(
                 full_rank[mask] = rank([r for k, r in enumerate(rows) if mask >> k & 1]) == curve.n
             if not full_rank[mask]:
                 yield p, q, values, mask
+
+
+def _smith_first_witness(B: LatticeBasis) -> Vector:
+    """A lattice vector of content equal to min_content(B).
+
+    Runs the first pivot stage of Smith reduction, tracking the inverse of
+    the column transform; the witness is d1 times the first row of T^{-1}.
+    """
+    w = [list(v) for v in B.vectors]
+    n = B.ambient
+    tinv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    rows = len(w)
+
+    def col_add(dst: int, src: int, k: int):
+        # column op: col dst += k * col src; inverse acts on rows of tinv.
+        for r in range(rows):
+            w[r][dst] += k * w[r][src]
+        tinv[src] = [a - k * b for a, b in zip(tinv[src], tinv[dst])]
+
+    def col_swap(i: int, j: int):
+        for r in range(rows):
+            w[r][i], w[r][j] = w[r][j], w[r][i]
+        tinv[i], tinv[j] = tinv[j], tinv[i]
+
+    def col_negate(j: int):
+        for r in range(rows):
+            w[r][j] = -w[r][j]
+        tinv[j] = [-a for a in tinv[j]]
+
+    while True:
+        # Move a minimal nonzero entry to (0, 0).
+        best = None
+        for i in range(rows):
+            for j in range(n):
+                if w[i][j] != 0 and (best is None or abs(w[i][j]) < abs(w[best[0]][best[1]])):
+                    best = (i, j)
+        assert best is not None
+        bi, bj = best
+        if bi != 0:
+            w[0], w[bi] = w[bi], w[0]
+        if bj != 0:
+            col_swap(0, bj)
+        if w[0][0] < 0:
+            col_negate(0)
+        p = w[0][0]
+        dirty = False
+        for j in range(1, n):
+            q = w[0][j] // p
+            if q:
+                col_add(j, 0, -q)
+            if w[0][j] != 0:
+                dirty = True
+        for i in range(1, rows):
+            q = w[i][0] // p
+            if q:
+                w[i] = [a - q * b for a, b in zip(w[i], w[0])]
+            if w[i][0] != 0:
+                dirty = True
+        if dirty:
+            continue
+        # Pivot must divide every remaining entry for d1 = gcd of all.
+        offender = None
+        for i in range(1, rows):
+            for j in range(1, n):
+                if w[i][j] % p != 0:
+                    offender = (i, j)
+                    break
+            if offender:
+                break
+        if offender is None:
+            break
+        col_add(0, offender[1], 1)
+    d1 = w[0][0]
+    return tuple(d1 * x for x in tinv[0])
+
+
+def primitive_witness_oracle(B: LatticeBasis) -> Optional[Vector]:
+    """A content-1 lattice vector, if min_content(B) == 1; else None: d1
+    times the first row of the inverse column transform of the first Smith
+    stage, instead of the basis rows that stage reduces. Test use only."""
+    if min_content(B) != 1:
+        return None
+    v = _smith_first_witness(B)
+    assert content(v) == 1
+    return _sign_normalized(v)
 
 
 @functools.lru_cache(maxsize=None)
@@ -486,16 +606,24 @@ def power_fiber_oracle(curve: CurveData, a: Sequence[int], N: int) -> List[Poly]
     ]
 
 
+def _shifted(p: Poly, a: Fraction) -> Poly:
+    """p(t + a) = sum c_j (t + a)**j, by Horner's rule in Poly arithmetic."""
+    out = Poly()
+    for c in reversed(p.coeffs):
+        out = out * Poly([a, 1]) + c
+    return out
+
+
 def map_back_oracle(h: Poly, ch: NormalizedCharacter) -> Poly:
     """L_Q**k * h(L_P/L_Q) for h of degree k (L_X = t - x, L_inf = 1), in
     Fractions: with w = t - q, L_P/L_Q is 1 + delta/w (delta = q - p) or
     1/w (P = inf), so the image is sum g_j delta**j w**(k - j), g = h(1 + s)
     or h, in t - q. Test use only."""
     if ch.Q.is_infinity:
-        return h.shift(-ch.P.rational_root())
+        return _shifted(h, -ch.P.rational_root())
     q = ch.Q.rational_root()
-    g, delta = (h, 1) if ch.P.is_infinity else (h.shift(1), q - ch.P.rational_root())
-    return Poly(reversed([x * delta ** j for j, x in enumerate(g.coeffs)])).shift(-q)
+    g, delta = (h, 1) if ch.P.is_infinity else (_shifted(h, Fraction(1)), q - ch.P.rational_root())
+    return _shifted(Poly(reversed([x * delta ** j for j, x in enumerate(g.coeffs)])), -q)
 
 
 def cyclotomic_poly_oracle(n: int) -> Poly:

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from oracles import character_restrict, compose, monomial_product, phi_oracle
+from oracles import character_restrict, compose, monomial_product, phi_oracle, two_point_divisor_oracle
 from torusdep.curvegeom import (
     CurveData,
     Place,
@@ -215,6 +215,27 @@ def test_phi_oracle_examples():
     assert set(phi_oracle(curve(T, T + 1), 2)) == {
         (1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1),
     }
+
+
+def test_two_point_predicate_matches_factored_divisor():
+    """phi_oracle's test without factoring agrees with divisor_of on
+    seeded quotients of powers of linear, quadratic and reducible factors."""
+    rng = random.Random(44)
+    pool = [T - 1, T + 2, 3 * T - 1, 2 * T + 5, T, T ** 2 + 1, T ** 2 - 2, (T - 1) * (T - 3)]
+    seen = set()
+    for _ in range(400):
+        shared = rng.randint(1, 4) if rng.random() < 0.5 else None  # makes m = m' common
+        sides = [Poly([rng.choice([-3, -1, 1, 2])]), Poly([1])]
+        for i in (0, 1):
+            for _ in range(rng.choice([0, 1, 1, 2])):
+                sides[i] = sides[i] * rng.choice(pool) ** (shared or rng.randint(1, 4))
+        f = RatFunc(*sides)
+        items = divisor_of(f).items()
+        expected = len(items) == 2 and all(place.degree == 1 for place, _ in items)
+        got = two_point_divisor_oracle(f.num.coeffs[::-1], f.den.coeffs[::-1])
+        assert got == expected, f
+        seen.add(expected)
+    assert seen == {True, False}
 
 
 def test_phi_enumerate_agrees_with_oracle():

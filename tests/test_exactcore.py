@@ -14,6 +14,7 @@ from torusdep.exactcore import (
     cyclotomic_poly,
     factor_poly,
     int_nth_root,
+    int_shift,
     nth_power_in_Q,
     poly_gcd,
 )
@@ -164,14 +165,16 @@ def test_cyclotomic_poly_from_the_radical_is_fast():
 
 
 def test_shift_is_composition_with_t_plus_a():
+    """int_shift(cs, u/v) is v**k * c(t + u/v) for c of degree k."""
     rng = random.Random(5)
     for _ in range(200):
-        p = Poly([F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(rng.randint(0, 7))])
+        cs = [rng.randint(-9, 9) for _ in range(rng.randint(1, 8))]
         a = F(rng.randint(-7, 7), rng.randint(1, 4))
         composed = Poly()
-        for c in reversed(p.coeffs):
+        for c in reversed(cs):
             composed = composed * (T + a) + c
-        assert p.shift(a) == composed, (p, a)
+        expected = composed * a.denominator ** (len(cs) - 1)
+        assert Poly(int_shift(cs, a)) == expected, (cs, a)
 
 
 def test_str_is_made_once_and_reads_back():

@@ -5,7 +5,8 @@ import random
 import pytest
 import sympy
 
-from oracles import express_in_basis
+from oracles import express_in_basis, primitive_witness_oracle
+from test_factoring import _make_points
 from torusdep import intlattice
 from torusdep.errors import DomainError
 from torusdep.intlattice import (
@@ -17,6 +18,7 @@ from torusdep.intlattice import (
     min_content,
     primitive_witness,
 )
+from torusdep.multdep import relation_lattice
 
 
 def _is_hnf(h):
@@ -200,6 +202,54 @@ def test_primitive_witness_random():
         else:
             assert w is None
     assert found > 20
+
+
+def _witness_lattices(rng, count):
+    """Seeded bases of ambient dimension n <= 7 and rank 1..n: entries in
+    [-9, 9], some scaled by up to 10**6, some bases scaled by a common
+    factor (content > 1); about one in five a block basis
+    ((p, 0...), (0, M...)) whose first pivot p > 1 is minimal and divides
+    its row and column but not all of M, so the stage must add an
+    offending column."""
+    made = 0
+    while made < count:
+        n = rng.randint(1, 7)
+        r = rng.randint(1, n)
+        if made % 5 == 0 and n >= 2 and r >= 2:
+            p = rng.choice([2, 3, 5, 7])
+            rest = [[rng.choice([0, 1]) * rng.randint(p, 4 * p) for _ in range(n - 1)] for _ in range(r - 1)]
+            rest[-1][-1] = p * rng.randint(1, 3) + rng.randint(1, p - 1)
+            vecs = [[p] + [0] * (n - 1)] + [[0] + row for row in rest]
+        else:
+            vecs = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(r)]
+            if rng.random() < 0.3:
+                for row in vecs:
+                    row[rng.randrange(n)] *= rng.randint(1, 10**6)
+            if rng.random() < 0.1:
+                k = rng.randint(2, 12)
+                vecs = [[k * x for x in row] for row in vecs]
+        try:
+            B = LatticeBasis(n, vecs)
+        except DomainError:
+            continue
+        made += 1
+        yield B
+
+
+def test_primitive_witness_matches_inverse_transform_oracle():
+    """The witness read off the reduced basis rows equals the parent route's
+    d1 * T^{-1}[0] on seeded lattices, None included, and on every relation
+    lattice of the points benchmark at seeds 1-3."""
+    examples = [LatticeBasis(2, ((2, 0), (0, 3))), LatticeBasis(3, ((4, 6, 10),))]
+    lattices = examples + list(_witness_lattices(random.Random(20), 20000))
+    lattices += [relation_lattice(point) for seed in (1, 2, 3) for point, _ in _make_points(seed)]
+    found = none = 0
+    for B in lattices:
+        w = primitive_witness(B)
+        assert w == primitive_witness_oracle(B), B
+        found += w is not None
+        none += w is None
+    assert found > 10000 and none > 1000
 
 
 def test_express_in_basis_examples():

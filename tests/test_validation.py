@@ -202,6 +202,9 @@ class TestExitCodes:
         for command, flag, value in (
             (["check"], "--curve", "-t;t+1"),
             (["fiber", "--curve", "(t-1)^3; t", "--order", "2"], "--char", "-1,0"),
+            (["check"], "--c", "-t;t+1"),
+            (["fiber", "--curve", "(t-1)^3; t", "--order", "2"], "--ch", "-1,0"),
+            (["depends"], "--poi", "-2,-8"),
             (["depends"], "--point", "-2,-8"),
         ):
             assert main([*command, flag, value]) == 0
@@ -209,6 +212,10 @@ class TestExitCodes:
             assert main([*command, f"{flag}={value}"]) == 0
             assert capsys.readouterr().out == spaced
         assert json.loads(spaced)["relations"] == [[3, -1]]
+        with pytest.raises(SystemExit) as exc:  # --curve or --char
+            main(["fiber", "--curve", "(t-1)^3; t", "--order", "2", "--c", "-1,0"])
+        assert exc.value.code == 2
+        assert "ambiguous option: --c could match --curve, --char" in capsys.readouterr().err
 
     def test_missing_option_value_is_argparse_error(self, capsys):
         for argv in (["check", "--curve", "--format", "json"], ["depends", "--point", "--form"]):
