@@ -5,6 +5,7 @@ power map up to a Moebius change of coordinate.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -161,19 +162,25 @@ class NormalizedCharacter:
 def map_degree(curve: CurveData) -> int:
     """Degree of t -> (f_1(t), ..., f_n(t)) onto its image.
 
-    Computed as the t-degree of the gcd of the cross-numerators
+    It divides deg f_i = max(deg num_i, deg den_i) of every nonconstant
+    coordinate (f_i is a function of a generator of Q(f_1, ..., f_n), by
+    Lüroth), so it is 1 when those degrees have gcd 1. Otherwise it is
+    the t-degree of the gcd of the cross-numerators
     num_i(t)*den_i(s) - num_i(s)*den_i(t), each built as a dict of Fraction
-    coefficients and taken with one sympy.Poly gcd over QQ; the
+    coefficients and taken with one sympy.Poly gcd over QQ. The
     parametrization is proper (birational onto the curve) iff this degree
     is 1.
     """
-    import sympy  # loaded on the first call, for the gcd
+    moving = [f for f in curve.coords if not f.is_constant()]
+    if not moving:
+        raise DomainError("all coordinates are constant")
+    if math.gcd(*(max(f.num.degree, f.den.degree) for f in moving)) == 1:
+        return 1
+    import sympy  # loaded on the first gcd
 
     t, s = sympy.symbols("t s")
     g = None
-    for f in curve.coords:
-        if f.is_constant():
-            continue
+    for f in moving:
         cross: Dict[Tuple[int, int], Fraction] = {}
         for i, a in enumerate(f.num.coeffs):
             for j, b in enumerate(f.den.coeffs):
@@ -182,8 +189,6 @@ def map_degree(curve: CurveData) -> int:
                 cross[j, i] = cross.get((j, i), 0) - a * b
         p = sympy.Poly.from_dict({k: c for k, c in cross.items() if c}, t, s, domain="QQ")
         g = p if g is None else g.gcd(p)
-    if g is None:
-        raise DomainError("all coordinates are constant")
     return g.degree(t)
 
 

@@ -4,6 +4,7 @@ multiplicatively dependent parameter values, and machine-readable reports.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from .curvegeom import (
 )
 from .errors import DomainError, InvariantViolation
 from .exactcore import Poly, cyclotomic_poly, factor_key, factor_poly, int_shift, nth_power_in_Q, render
-from .intlattice import IntMatrix, kernel_basis, primitive_witness, rank
+from .intlattice import IntMatrix, kernel_basis, primitive_witness
 from .multdep import (
     independent_over_coprime_base,
     point_height,
@@ -35,10 +36,15 @@ MAX_FIBER_DEGREE = 4096
 # Budget on the degree m*phi(d) of Phi_d(c * s**m) when c is not +-b**m and
 # factor_poly must factor it.
 MAX_FALLBACK_DEGREE = 64
-# Budget on the scan height H: the scan visits about 2*H**2 parameters.
-# Whole analyze calls on t*(t+1); (t-2)/(t+3); t-5 took 1.3 s at H = 400
-# and 3.0 s at H = 1000 on a shared 2-vCPU VM (medians of 5 fresh processes).
+# Budget on the scan height H: the scan sweeps about 2*H**2 parameters.
+# The slowest whole analyze call measured at H = 1000 took 2.5 s, on
+# (t-1000000)/(t-999999); t-999998, whose places are too high for sieve
+# tables, so every parameter walks them; t*(t+1); (t-2)/(t+3); t-5 took
+# 0.8 s (medians of fresh processes on a shared 2-vCPU VM). That walk
+# grows as H**2 (11 s at H = 3000), so 10**4 is not admitted.
 MAX_SCAN_HEIGHT = 1000
+# Budget on the bits of one degree-1 place's sieve table, 2*V + 1.
+MAX_SIEVE_TABLE_BITS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -223,63 +229,208 @@ def _private_survivors(
     C * prod_{Q != P} v_Q, C = prod_i |num c_i| * den c_i. A prime l of r_P
     gives v_l(x_i) = D[P, i] * v_l(v_P), so the point is independent, and
     the parameter dropped, when the rows of D of the places with r_P > 1
-    have rank n (kept per set of places). One rule per place. Degree 1,
-    F_P = w*p - u*q primitive, first: a prime l of v_P puts (p : q) at
-    (u : w) mod l, so r_P > 1 iff a prime of v_P is outside
-    R_P = C * prod_{Q != P} |F_Q(u, w)|, and a parameter is dropped at its
-    first set of rank n. At infinity v_P = q, so its bit is decided once
-    per row and starts the mask. Degree 2 or more (never 0 at a coprime
-    (p, q)): v_P stripped by repeated gcd.
+    have rank n. One rule per place. Degree 1, F_P = w*p - u*q primitive,
+    first: a prime l of v_P puts (p : q) at (u : w) mod l, so r_P > 1 iff
+    a prime of v_P is outside R_P = C * prod_{Q != P} |F_Q(u, w)|. At
+    infinity v_P = q, so its bit is decided once per row and starts the
+    mask. Degree 2 or more (never 0 at a coprime (p, q)): v_P stripped by
+    repeated gcd, last, for the survivors of the degree-1 places.
+
+    The degree-1 places are sieved a row q at a time. The row is a bitset
+    of its 2H + 1 parameters p (bit p + H), cleared at the p that share a
+    prime with q and at the one zero of each finite F_P at a coprime
+    (p, q), and split by rank state: the flat of D's rows spanned by the
+    private places met so far, numbered by its canonical basis
+    (_reduced_rows). A finite place P = (u : w) has a _sieve_table of its
+    bit at every z = w*p - u*q in [-V, V], V = (|u| + w) * H, one int per
+    residue of z mod w, so a row's bits are one shift and one mask. P moves
+    the live bits of a state to the flat it spans with P, and a flat of
+    rank n is dropped. The places go cheapest table first. A table is built
+    once the rows left would repay it at this row's live count, and a row
+    is sieved while it has more live bits than states. Its last live bits
+    then walk the remaining places in place order, one pow each; so does
+    every parameter at a place whose table would pass
+    MAX_SIEVE_TABLE_BITS. Survivors come out in (q, p) order, each mask
+    read off the row bits.
     """
     rows = curve.divisor_matrix.entries
     C = math.prod(abs(c.numerator) * c.denominator for c in consts)
-
-    @functools.cache
-    def full_rank(mask: int) -> bool:
-        sub = [r for k, r in enumerate(rows) if mask >> k & 1]
-        return len(sub) >= curve.n and rank(sub) == curve.n
-    linear, infinity = [], []  # (bit, form, R_P) per finite degree-1 place, and at infinity
+    linear, infinity = [], []  # (k, a0, a1, R_P) per finite degree-1 place, and at infinity
     for k, (place, f) in enumerate(zip(curve.place_index, forms)):
         if len(f) == 2:  # every other F_Q at its root (-f[0] : f[1])
             at_root = [sum(a * (-f[0]) ** j * f[1] ** (len(g) - 1 - j) for j, a in enumerate(g))
                        for g in forms if g != f]
-            (infinity if place.is_infinity else linear).append((1 << k, f, C * abs(math.prod(at_root))))
+            (infinity if place.is_infinity else linear).append((k, *f, C * abs(math.prod(at_root))))
     higher = [k for k, f in enumerate(forms) if len(f) > 2]
+    # flats by number, and the flat of a flat and a place (None at rank n)
+    flats: Dict[Tuple[Tuple[int, ...], ...], int] = {(): 0}
+    bases: List[Tuple[Tuple[int, ...], ...]] = [()]
+
+    @functools.cache
+    def span(key: int, k: int) -> Optional[int]:
+        basis, row = bases[key], rows[k]
+        for b in basis:  # zero at every pivot but its own
+            c = next(j for j, x in enumerate(b) if x)
+            row = [b[c] * x - row[c] * y for x, y in zip(row, b)]
+        if not any(row):
+            return key
+        if len(basis) + 1 == curve.n:
+            return None
+        basis = _reduced_rows(basis + (row,))
+        if basis not in flats:
+            flats[basis] = len(bases)
+            bases.append(basis)
+        return flats[basis]
+
+    width = 2 * H + 1
+    full = (1 << width) - 1
+    zeros: Dict[int, int] = {}
+    for _k, a0, a1, _R in linear:
+        if a1 <= H and abs(a0) <= H:
+            zeros[a1] = zeros.get(a1, 0) | 1 << (H - a0)
+    linear.sort(key=lambda e: abs(e[1]) + e[2])
+    walks = [sorted(linear[j:]) for j in range(len(linear) + 1)]  # after j sieved, in place order
+    tables: Dict[int, Optional[List[int]]] = {}
     for q in range(1, H + 1):
         # one row of D has rank 1 < n: the bit at infinity drops no row
-        start = sum(bit for bit, _f, R in infinity if pow(R, q.bit_length(), q))
-        # coefficients from the top, the k-th times q**k: Horner in p alone
-        scaled = [[a * q ** k for k, a in enumerate(reversed(f))] for f in forms]
-        for p in range(-H, H + 1):
-            if math.gcd(p, q) != 1:
-                continue
-            mask = start
-            for bit, (a0, a1), R in linear:
-                v = abs(a1 * p + a0 * q)
-                if not v:
+        start, state = 0, 0
+        for k, _a0, _a1, R in infinity:
+            if pow(R, q.bit_length(), q):
+                start, state = 1 << k, span(0, k)
+        B = full & ~zeros.get(q, 0)
+        for l in _prime_factors(q):  # clear p = 0 mod l, at bits H mod l + l*j
+            B &= ~((1 << l * (width // l + 1)) // ((1 << l) - 1) << H % l)
+        states = {state: B}
+        live = B.bit_count()
+        sieved = []  # (bit, row bits) per sieved place
+        for k, a0, a1, R in linear:
+            if k not in tables:
+                # built once the rows left would repay it at this row's live
+                # count: a table entry costs about an eighth of a pow
+                if 8 * live * (H + 1 - q) <= (abs(a0) + a1) * H:
                     break
-                if pow(R, v.bit_length(), v):  # iff a prime of v does not divide R
-                    mask |= bit
-                    if full_rank(mask):
-                        break
-            else:
-                values = []
-                for b in scaled:
-                    acc = 0
-                    for a in b:
-                        acc = acc * p + a
-                    values.append(abs(acc))
-                total = C * math.prod(values)
-                for k in higher:
-                    v = values[k]
-                    g = math.gcd(v, total // v)
-                    while g > 1:
-                        v //= g
-                        g = math.gcd(v, g)
-                    if v > 1:
+                tables[k] = _sieve_table(a0, a1, R, H)
+            if tables[k] is None or live <= len(states):
+                break
+            i = a0 * q - a1 * H + (abs(a0) + a1) * H  # z + V at p = -H
+            bits = tables[k][i % a1] >> i // a1 & full
+            moved: Dict[int, int] = {}
+            for state, B in states.items():
+                private = B & bits
+                to = span(state, k) if private else state
+                if to != state:
+                    B ^= private
+                    if to is not None:
+                        moved[to] = moved.get(to, 0) | private
+                if B:
+                    moved[state] = moved.get(state, 0) | B
+            states = moved
+            live = sum(B.bit_count() for B in states.values())
+            sieved.append((1 << k, bits))
+        # scaled coefficients from the top, the k-th times q**k: Horner in p alone
+        scaled = [[a * q ** k for k, a in enumerate(reversed(f))] for f in forms]
+        walk = walks[len(sieved)]
+        kept = []
+        for state, B in states.items():
+            for i in _bit_positions(B):
+                key, mask = state, start
+                for bit, bits in sieved:
+                    if bits >> i & 1:
+                        mask |= bit
+                p = i - H
+                for k, a0, a1, R in walk:
+                    v = abs(a1 * p + a0 * q)
+                    if pow(R, v.bit_length(), v):  # iff a prime of v does not divide R
                         mask |= 1 << k
-                if not full_rank(mask):
-                    yield p, q, values, mask
+                        key = span(key, k)
+                        if key is None:
+                            break
+                else:
+                    values = []
+                    for b in scaled:
+                        acc = 0
+                        for a in b:
+                            acc = acc * p + a
+                        values.append(abs(acc))
+                    total = C * math.prod(values)
+                    for k in higher:
+                        v = values[k]
+                        g = math.gcd(v, total // v)
+                        while g > 1:
+                            v //= g
+                            g = math.gcd(v, g)
+                        if v > 1:
+                            mask |= 1 << k
+                            key = span(key, k)
+                            if key is None:
+                                break
+                    else:
+                        kept.append((p, q, values, mask))
+        kept.sort()  # the states split the row: back to p order
+        yield from kept
+
+
+def _reduced_rows(vectors: Sequence[Sequence[int]]) -> Tuple[Tuple[int, ...], ...]:
+    """The reduced row echelon form over Q of independent integer vectors,
+    each row scaled to integers of gcd 1 with a positive pivot: a
+    canonical basis of their span."""
+    m = [list(v) for v in vectors]
+    r = 0
+    for c in range(len(m[0])):
+        i = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if i is None:
+            continue
+        m[r], m[i] = m[i], m[r]
+        v = m[r]
+        for i, w in enumerate(m):
+            if i != r and w[c]:
+                m[i] = [v[c] * x - w[c] * y for x, y in zip(w, v)]
+        r += 1
+    return tuple(tuple(x // math.gcd(*v) * (1 if next(y for y in v if y) > 0 else -1) for x in v) for v in m)
+
+
+def _sieve_table(a0: int, a1: int, R: int, H: int) -> Optional[List[int]]:
+    """The certificate bits of the place a1*p + a0*q = z at every z in
+    [-V, V], V = (|a0| + a1) * H: set iff |z| has a prime outside R, that
+    is, iff it is a multiple of a prime up to V that does not divide R
+    (never at 0). One int per residue c of z + V mod a1, whose bit j is
+    that of z + V = c + a1*j; None when the 2V + 1 bits would pass
+    MAX_SIEVE_TABLE_BITS."""
+    V = (abs(a0) + a1) * H
+    if 2 * V + 1 > MAX_SIEVE_TABLE_BITS:
+        return None
+    sieve = bytearray([1]) * (V + 1)
+    sieve[:2] = b"\0\0"
+    for l in range(2, math.isqrt(V) + 1):
+        if sieve[l]:
+            sieve[l * l::l] = bytes(len(range(l * l, V + 1, l)))
+    half = bytearray(b"0") * (V + 1)
+    for l in itertools.compress(range(V + 1), sieve):
+        if R % l:
+            half[l::l] = b"1" * (V // l)
+    line = (half[:0:-1] + half).decode()  # z = -V .. V
+    return [int(line[c::a1][::-1], 2) for c in range(a1)]
+
+
+def _prime_factors(q: int) -> List[int]:
+    """The primes of q, by trial division."""
+    primes, l = [], 2
+    while l * l <= q:
+        if q % l == 0:
+            primes.append(l)
+            while q % l == 0:
+                q //= l
+        l += 1
+    return primes + [q] if q > 1 else primes
+
+
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _bit_positions(B: int) -> List[int]:
+    """The indices of the set bits of B >= 0, in increasing order."""
+    bits = bin(B)[:1:-1].encode().translate(_BIT_BYTES)  # bit i at byte i, 0 or 1
+    return list(itertools.compress(range(len(bits)), bits))
 
 
 def _sub_torus(

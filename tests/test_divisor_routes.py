@@ -1,9 +1,11 @@
 """Per-curve geometry comes from the divisor matrix and one polynomial gcd:
-map_degree against the sympy expression route (map_degree_oracle),
+map_degree against the sympy expression route (map_degree_oracle), with
+the bivariate gcd taken only when the coordinates' degrees share a factor,
 normalize_character (P, Q and m from D*a, c from leading coefficients)
 against the factored and composed restricted character (character_oracle),
 and divisor_of called only while building a curve."""
 import itertools
+import math
 import random
 import time
 from fractions import Fraction as F
@@ -13,6 +15,8 @@ import sympy
 
 from oracles import character_oracle, compose, map_degree_oracle
 from test_acceptance import _random_proper_curves as criterion_4_curves
+from test_golden_outputs import GOLDEN, SCAN_200
+from test_scan import MORE_CURVES
 from torusdep import curvegeom
 from torusdep.cli import main
 from torusdep.curvegeom import CurveData, map_degree, normalize_character, phi_enumerate
@@ -88,6 +92,63 @@ def test_map_degree_on_composed_curves():
             assert got == map_degree_oracle(curve) == expected
             degrees.append(got)
     assert degrees.count(2) == 24
+
+
+def _degree_and_route(monkeypatch, curve):
+    """map_degree(curve), and whether it took the bivariate gcd (the only
+    branch that calls sympy.symbols)."""
+    calls = []
+    original = sympy.symbols
+    monkeypatch.setattr(sympy, "symbols", lambda *args, **kwargs: calls.append(args) or original(*args, **kwargs))
+    try:
+        return map_degree(curve), bool(calls)
+    finally:
+        monkeypatch.setattr(sympy, "symbols", original)
+
+
+def _degree_gcd(curve):
+    return math.gcd(*(max(f.num.degree, f.den.degree) for f in curve.coords if not f.is_constant()))
+
+
+def test_degree_shortcut_matches_expression_route_on_every_tier_1_curve(monkeypatch):
+    """A proper curve whose coordinate degrees have gcd 1 needs no gcd:
+    the map degree divides each of them. Every other curve still takes it."""
+    texts = EXAMPLE_CURVES + NON_MONIC_CURVES + [text for text, _H, _place in MORE_CURVES]
+    texts += [curve for curve, _char, _digests in GOLDEN] + [curve for curve, _digest in SCAN_200]
+    curves = [parse_curve(text) for text in texts] + criterion_4_curves(50, seed=20260823)
+    curves += [CurveData.build(coords) for coords in _seeded_proper_curves(12, seed=606)]
+    routes = []
+    for curve in curves:
+        degree, gcd_route = _degree_and_route(monkeypatch, curve)
+        assert degree == map_degree_oracle(curve)
+        assert gcd_route == (_degree_gcd(curve) > 1)
+        routes.append(gcd_route)
+    assert 0 < sum(routes) < len(routes)
+    for text in BENCH_CURVES:
+        assert _degree_and_route(monkeypatch, parse_curve(text)) == (1, False)
+
+
+MOBIUS = [(2 * T + 1) / (T - 3), (T + 5) / (2 - 3 * T)]
+
+
+def test_improper_compositions_take_the_gcd(monkeypatch):
+    """f(g(mu(t))) with g = t^2 or (t^2 + 1)/t and mu a Moebius map has
+    map degree 2 and every coordinate degree even."""
+    degrees = []
+    for coords in _seeded_proper_curves(4, seed=607):
+        for g, mu in itertools.product((T ** 2, (T ** 2 + 1) / T), MOBIUS):
+            curve = CurveData.build([compose(compose(f, g), mu) for f in coords])
+            degree, gcd_route = _degree_and_route(monkeypatch, curve)
+            assert gcd_route and _degree_gcd(curve) % 2 == 0
+            assert degree == map_degree_oracle(curve) == 2
+            degrees.append(degree)
+    assert len(degrees) == 16
+
+
+def test_all_constant_coordinates_raise():
+    curve = CurveData.build([RatFunc(Poly([F(2)])), RatFunc(Poly([F(-3, 5)]))])
+    with pytest.raises(DomainError, match="all coordinates are constant"):
+        map_degree(curve)
 
 
 def test_map_degree_builds_no_sympy_expression(monkeypatch):

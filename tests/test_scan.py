@@ -2,12 +2,13 @@
 factoring: a private-part filter, then a rank over a coprime base. It
 builds relation lattices only for dependent parameters; scan_oracle builds
 one at every parameter. The two must give identical records. The filter
-decides each degree-1 place by its resultant certificate and each place of
+decides each degree-1 place by its resultant certificate, sieved a row at
+a time from a table or walked one parameter at a time, and each place of
 degree 2 or more by a gcd strip; private_survivors_oracle strips every
 place at every parameter, and the two must yield identical
-(p, q, values, mask) streams. A survivor is then tested on the kernel of
-its private places' rows, which must give the verdict of the n
-coordinates."""
+(p, q, values, mask) streams, on curves with many places and past the
+table budget too. A survivor is then tested on the kernel of its private
+places' rows, which must give the verdict of the n coordinates."""
 import json
 import math
 import random
@@ -261,6 +262,75 @@ def test_filter_stream_matches_oracle_where_resultants_share_small_primes():
         swept += sum(1 for _p, _q, point in _swept(curve, H) if point is not None)
         kept += len(_same_stream(curve, H))
     assert kept > 0.05 * swept
+
+
+def _many_place_curves(count, seed):
+    """Proper curves of three coordinates with 20 to 80 degree-1 places
+    t - a/b, |a| <= 30 and b <= 3, each in one or two coordinates with
+    exponent -2, -1, 1 or 2; built from Poly products, so only the divisors
+    factor. The gcd of the coordinates' degrees is 1."""
+    rng = random.Random(seed)
+    roots = [F(a, b) for b in (1, 2, 3) for a in range(-30, 31) if math.gcd(a, b) == 1]
+    curves = []
+    while len(curves) < count:
+        parts = [[Poly([F(1)]), Poly([F(1)])] for _ in range(3)]
+        for root in rng.sample(roots, rng.randint(20, 80)):
+            for i in rng.sample(range(3), rng.choice((1, 1, 2))):
+                e = rng.choice((-2, -1, 1, 2))
+                parts[i][e < 0] *= Poly([-root, F(1)]) ** abs(e)
+        degrees = [max(num.degree, den.degree) for num, den in parts]
+        if 0 in degrees or math.gcd(*degrees) != 1:
+            continue
+        curve = CurveData.build([RatFunc(num, den) for num, den in parts])
+        if curve.violation is None:
+            curves.append(curve)
+    return curves
+
+
+def _counting_tables(monkeypatch):
+    """Record each _sieve_table the filter builds: (a0, a1, built)."""
+    built = []
+    original = explorer._sieve_table
+
+    def counted(a0, a1, R, H):
+        table = original(a0, a1, R, H)
+        built.append((a0, a1, table is not None))
+        return table
+
+    monkeypatch.setattr(explorer, "_sieve_table", counted)
+    return built
+
+
+def test_filter_stream_matches_oracle_on_many_place_curves(monkeypatch):
+    """Rows are sieved at the cheap places while many parameters are live,
+    and walked at the rest: on some curve a survivor walks a place that
+    has no table."""
+    built = _counting_tables(monkeypatch)
+    walked = False
+    for curve, H in zip(_many_place_curves(4, seed=21), (8, 10, 12, 14)):
+        linear = [p for p in curve.place_index if p.degree == 1 and not p.is_infinity]
+        assert 20 <= len(curve.place_index) <= 81 and curve.n == 3
+        del built[:]
+        survivors = _same_stream(curve, H)
+        assert built and all(ok for _a0, _a1, ok in built)
+        walked |= bool(survivors) and len(built) < len(linear)
+    assert walked
+
+
+def test_filter_stream_matches_oracle_past_the_table_budget(monkeypatch):
+    """A place whose table would pass MAX_SIEVE_TABLE_BITS takes its bits
+    from per-parameter tests: the root near 10**40 has no table, and with
+    the budget at 201 bits only the places of |u| + w <= 2 have one at
+    H = 50."""
+    N = 10 ** 40 + 1
+    assert explorer._sieve_table(-N, 3, 1, 12) is None
+    built = _counting_tables(monkeypatch)
+    assert _same_stream(parse_curve(f"3*t-{N}; t*(t+1)/(t-2)"), 12)
+    assert built and all(a0 != -N for a0, _a1, _ok in built)
+    monkeypatch.setattr(explorer, "MAX_SIEVE_TABLE_BITS", 201)
+    del built[:]
+    assert _same_stream(parse_curve(BENCH_CURVES[3]), 50)
+    assert {(abs(a0) + a1, ok) for a0, a1, ok in built} == {(1, True), (2, True), (3, False)}
 
 
 def _verdicts(curve, H):
