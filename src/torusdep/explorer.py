@@ -37,11 +37,12 @@ MAX_FIBER_DEGREE = 4096
 # factor_poly must factor it.
 MAX_FALLBACK_DEGREE = 64
 # Budget on the scan height H: the scan sweeps about 2*H**2 parameters.
-# The slowest whole analyze call measured at H = 1000 took 2.5 s, on
+# The slowest whole analyze call measured at H = 1000 took 2.0 s, on
 # (t-1000000)/(t-999999); t-999998, whose places are too high for sieve
-# tables, so every parameter walks them; t*(t+1); (t-2)/(t+3); t-5 took
-# 0.8 s (medians of fresh processes on a shared 2-vCPU VM). That walk
-# grows as H**2 (11 s at H = 3000), so 10**4 is not admitted.
+# tables, so every parameter tests them by pow; t*(t+1); (t-2)/(t+3); t-5
+# took 1.0 s, most of it start-up (medians of 5 fresh processes on a
+# shared 2-vCPU VM). Those tests grow as H**2 (13 s at H = 3000), so
+# 10**4 is not admitted.
 MAX_SCAN_HEIGHT = 1000
 # Budget on the bits of one degree-1 place's sieve table, 2*V + 1.
 MAX_SIEVE_TABLE_BITS = 1 << 22
@@ -219,11 +220,12 @@ def _place_forms(curve: CurveData) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[F
 
 def _private_survivors(
     curve: CurveData, forms: Sequence[Tuple[int, ...]], consts: Sequence[Fraction], H: int
-) -> Iterator[Tuple[int, int, List[int], int]]:
+) -> Iterator[Tuple[int, int, List[int], Tuple[Tuple[int, ...], ...]]]:
     """The coprime (p, q) with max(|p|, q) <= H and no finite F_P(p, q) = 0
     that the private-part filter keeps, each with its values
-    v_P = |F_P(p, q)| (forms and consts from _place_forms) and its mask,
-    bit k set iff the k-th place has r_P > 1.
+    v_P = |F_P(p, q)| (forms and consts from _place_forms) and its flat:
+    the canonical basis (_reduced_rows) of the span of the rows of D of
+    the places with r_P > 1, () when there are none.
 
     The private part r_P of v_P is v_P without the primes of
     C * prod_{Q != P} v_Q, C = prod_i |num c_i| * den c_i. A prime l of r_P
@@ -233,34 +235,32 @@ def _private_survivors(
     first: a prime l of v_P puts (p : q) at (u : w) mod l, so r_P > 1 iff
     a prime of v_P is outside R_P = C * prod_{Q != P} |F_Q(u, w)|. At
     infinity v_P = q, so its bit is decided once per row and starts the
-    mask. Degree 2 or more (never 0 at a coprime (p, q)): v_P stripped by
+    flat. Degree 2 or more (never 0 at a coprime (p, q)): v_P stripped by
     repeated gcd, last, for the survivors of the degree-1 places.
 
     The degree-1 places are sieved a row q at a time. The row is a bitset
     of its 2H + 1 parameters p (bit p + H), cleared at the p that share a
     prime with q and at the one zero of each finite F_P at a coprime
-    (p, q), and split by rank state: the flat of D's rows spanned by the
-    private places met so far, numbered by its canonical basis
-    (_reduced_rows). A finite place P = (u : w) has a _sieve_table of its
-    bit at every z = w*p - u*q in [-V, V], V = (|u| + w) * H, one int per
-    residue of z mod w, so a row's bits are one shift and one mask. P moves
-    the live bits of a state to the flat it spans with P, and a flat of
-    rank n is dropped. The places go cheapest table first. A table is built
-    once the rows left would repay it at this row's live count, and a row
-    is sieved while it has more live bits than states. Its last live bits
-    then walk the remaining places in place order, one pow each; so does
-    every parameter at a place whose table would pass
-    MAX_SIEVE_TABLE_BITS. Survivors come out in (q, p) order, each mask
-    read off the row bits.
+    (p, q), and split by rank state: the flat spanned by the private
+    places met so far, numbered by its canonical basis. The finite places
+    go in place order, each giving the row one bitset of its r_P > 1. A
+    place P = (u : w) takes it from a _sieve_table of its bit at every
+    z = w*p - u*q in [-V, V], V = (|u| + w) * H, one int per residue of
+    z mod w, so one shift and one mask; the table is built once the rows
+    left would repay it at this row's live count. Until then, and for
+    good when the table would pass MAX_SIEVE_TABLE_BITS, each live
+    parameter takes its bit from one pow. P moves the live bits of a
+    state to the flat it spans with P, a flat of rank n is dropped, and
+    the row ends once nothing in it is live. Survivors come out in
+    (q, p) order.
     """
     rows = curve.divisor_matrix.entries
     C = math.prod(abs(c.numerator) * c.denominator for c in consts)
     linear, infinity = [], []  # (k, a0, a1, R_P) per finite degree-1 place, and at infinity
     for k, (place, f) in enumerate(zip(curve.place_index, forms)):
         if len(f) == 2:  # every other F_Q at its root (-f[0] : f[1])
-            at_root = [sum(a * (-f[0]) ** j * f[1] ** (len(g) - 1 - j) for j, a in enumerate(g))
-                       for g in forms if g != f]
-            (infinity if place.is_infinity else linear).append((k, *f, C * abs(math.prod(at_root))))
+            R = C * math.prod(abs(_form_at(g, -f[0], f[1])) for g in forms if g is not f)
+            (infinity if place.is_infinity else linear).append((k, *f, R))
     higher = [k for k, f in enumerate(forms) if len(f) > 2]
     # flats by number, and the flat of a flat and a place (None at rank n)
     flats: Dict[Tuple[Tuple[int, ...], ...], int] = {(): 0}
@@ -288,32 +288,33 @@ def _private_survivors(
     for _k, a0, a1, _R in linear:
         if a1 <= H and abs(a0) <= H:
             zeros[a1] = zeros.get(a1, 0) | 1 << (H - a0)
-    linear.sort(key=lambda e: abs(e[1]) + e[2])
-    walks = [sorted(linear[j:]) for j in range(len(linear) + 1)]  # after j sieved, in place order
     tables: Dict[int, Optional[List[int]]] = {}
     for q in range(1, H + 1):
         # one row of D has rank 1 < n: the bit at infinity drops no row
-        start, state = 0, 0
+        state = 0
         for k, _a0, _a1, R in infinity:
             if pow(R, q.bit_length(), q):
-                start, state = 1 << k, span(0, k)
+                state = span(0, k)
         B = full & ~zeros.get(q, 0)
         for l in _prime_factors(q):  # clear p = 0 mod l, at bits H mod l + l*j
             B &= ~((1 << l * (width // l + 1)) // ((1 << l) - 1) << H % l)
         states = {state: B}
         live = B.bit_count()
-        sieved = []  # (bit, row bits) per sieved place
         for k, a0, a1, R in linear:
-            if k not in tables:
-                # built once the rows left would repay it at this row's live
-                # count: a table entry costs about an eighth of a pow
-                if 8 * live * (H + 1 - q) <= (abs(a0) + a1) * H:
-                    break
+            # built once the rows left would repay it at this row's live
+            # count: a table entry costs about an eighth of a pow
+            if k not in tables and 8 * live * (H + 1 - q) > (abs(a0) + a1) * H:
                 tables[k] = _sieve_table(a0, a1, R, H)
-            if tables[k] is None or live <= len(states):
-                break
-            i = a0 * q - a1 * H + (abs(a0) + a1) * H  # z + V at p = -H
-            bits = tables[k][i % a1] >> i // a1 & full
+            table = tables.get(k)
+            if table is not None:
+                i = a0 * q - a1 * H + (abs(a0) + a1) * H  # z + V at p = -H
+                bits = table[i % a1] >> i // a1 & full
+            else:
+                bits = 0
+                for i in _bit_positions(sum(states.values())):  # the states' bits are disjoint
+                    v = abs(a1 * (i - H) + a0 * q)
+                    if pow(R, v.bit_length(), v):  # iff a prime of v does not divide R
+                        bits |= 1 << i
             moved: Dict[int, int] = {}
             for state, B in states.items():
                 private = B & bits
@@ -326,48 +327,38 @@ def _private_survivors(
                     moved[state] = moved.get(state, 0) | B
             states = moved
             live = sum(B.bit_count() for B in states.values())
-            sieved.append((1 << k, bits))
-        # scaled coefficients from the top, the k-th times q**k: Horner in p alone
-        scaled = [[a * q ** k for k, a in enumerate(reversed(f))] for f in forms]
-        walk = walks[len(sieved)]
+            if not live:
+                break
         kept = []
         for state, B in states.items():
             for i in _bit_positions(B):
-                key, mask = state, start
-                for bit, bits in sieved:
-                    if bits >> i & 1:
-                        mask |= bit
                 p = i - H
-                for k, a0, a1, R in walk:
-                    v = abs(a1 * p + a0 * q)
-                    if pow(R, v.bit_length(), v):  # iff a prime of v does not divide R
-                        mask |= 1 << k
+                values = [abs(_form_at(f, p, q)) for f in forms]
+                total = C * math.prod(values)
+                key = state
+                for k in higher:
+                    v = values[k]
+                    g = math.gcd(v, total // v)
+                    while g > 1:
+                        v //= g
+                        g = math.gcd(v, g)
+                    if v > 1:
                         key = span(key, k)
                         if key is None:
                             break
                 else:
-                    values = []
-                    for b in scaled:
-                        acc = 0
-                        for a in b:
-                            acc = acc * p + a
-                        values.append(abs(acc))
-                    total = C * math.prod(values)
-                    for k in higher:
-                        v = values[k]
-                        g = math.gcd(v, total // v)
-                        while g > 1:
-                            v //= g
-                            g = math.gcd(v, g)
-                        if v > 1:
-                            mask |= 1 << k
-                            key = span(key, k)
-                            if key is None:
-                                break
-                    else:
-                        kept.append((p, q, values, mask))
+                    kept.append((p, q, values, bases[key]))
         kept.sort()  # the states split the row: back to p order
         yield from kept
+
+
+def _form_at(f: Sequence[int], p: int, q: int) -> int:
+    """The binary form f, integer coefficients constant term first, at
+    (p, q): sum f[j] * p**j * q**(deg - j), by one homogeneous Horner pass."""
+    acc, qk = 0, 1
+    for a in reversed(f):
+        acc, qk = acc * p + a * qk, qk * q
+    return acc
 
 
 def _reduced_rows(vectors: Sequence[Sequence[int]]) -> Tuple[Tuple[int, ...], ...]:
@@ -434,16 +425,15 @@ def _bit_positions(B: int) -> List[int]:
 
 
 def _sub_torus(
-    rows: Sequence[Sequence[int]], consts: Sequence[Fraction], mask: int
+    rows: Sequence[Sequence[int]], consts: Sequence[Fraction], flat: Sequence[Sequence[int]]
 ) -> List[Tuple[List[Tuple[int, int]], List[Tuple[int, int]]]]:
     """One monomial |y| = |x|**k per vector k of a basis of K, the kernel of
-    the rows of D of the places in mask (all of Z^n when mask is 0): its
+    the basis flat of a span of rows of D (all of Z^n when flat is ()): its
     (integer, exponent) pairs from the |c_i|, and its (place, exponent)
     pairs, the exponent at P being D[P] . k. Zero exponents are left out,
-    and so is every place of mask."""
-    sub = [r for k, r in enumerate(rows) if mask >> k & 1] or [[0] * len(consts)]
+    and so is every place whose row lies in the flat."""
     monomials = []
-    for vec in kernel_basis(IntMatrix(sub)).vectors:
+    for vec in kernel_basis(IntMatrix(flat or [[0] * len(consts)])).vectors:
         const = [(v, s * e) for c, e in zip(consts, vec) if e
                  for v, s in ((abs(c.numerator), 1), (c.denominator, -1))]
         places = [(k, sum(a * e for a, e in zip(row, vec))) for k, row in enumerate(rows)]
@@ -472,10 +462,11 @@ def scan_dependent(
     certificate at degree 1, a gcd strip at degree 2 or more. For the rest,
     the point is dependent iff the |x_i| are (a relation among them doubles
     to one among the x_i). Such a relation a has D[P] . a = 0 at every
-    private place P, so it lies in the kernel of those rows, and the point
-    is dependent iff the _sub_torus monomials of that kernel's basis are,
-    which multdep.independent_over_coprime_base decides from the c_i and
-    the other values by gcds alone. Only dependent parameters are evaluated
+    private place P, so it lies in the kernel of the survivor's flat, the
+    span of those rows, and the point is dependent iff the _sub_torus
+    monomials of any basis of that kernel are, which
+    multdep.independent_over_coprime_base decides from the c_i and the
+    values of the places outside the flat by gcds alone. Only dependent parameters are evaluated
     and passed to relation_lattice; a zero lattice there means the two
     routes disagree and raises InvariantViolation.
     """
@@ -491,8 +482,8 @@ def scan_dependent(
     rows = curve.divisor_matrix.entries
     monomials = functools.cache(functools.partial(_sub_torus, rows, consts))
     records = []
-    for p, q, values, mask in _private_survivors(curve, forms, consts, config.scan_height_bound):
-        products = [const + [(values[k], m) for k, m in places] for const, places in monomials(mask)]
+    for p, q, values, flat in _private_survivors(curve, forms, consts, config.scan_height_bound):
+        products = [const + [(values[k], m) for k, m in places] for const, places in monomials(flat)]
         if independent_over_coprime_base(products):
             continue
         t0 = Fraction(p, q)

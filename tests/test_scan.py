@@ -2,13 +2,14 @@
 factoring: a private-part filter, then a rank over a coprime base. It
 builds relation lattices only for dependent parameters; scan_oracle builds
 one at every parameter. The two must give identical records. The filter
-decides each degree-1 place by its resultant certificate, sieved a row at
-a time from a table or walked one parameter at a time, and each place of
-degree 2 or more by a gcd strip; private_survivors_oracle strips every
-place at every parameter, and the two must yield identical
-(p, q, values, mask) streams, on curves with many places and past the
-table budget too. A survivor is then tested on the kernel of its private
-places' rows, which must give the verdict of the n coordinates."""
+decides each degree-1 place by its resultant certificate, a row at a time,
+from a table or by one pow per live parameter, and each place of degree 2
+or more by a gcd strip; private_survivors_oracle strips every place at
+every parameter, and the two must yield identical (p, q, values) streams,
+each survivor's flat spanning the rows of the oracle's private places, on
+curves with many places and past the table budget too. A survivor is then
+tested on the kernel of its flat, which must give the verdict of the n
+coordinates."""
 import json
 import math
 import random
@@ -107,7 +108,7 @@ def _swept(curve, H):
 
 def _survivors(curve, H):
     forms, consts = _place_forms(curve)
-    return [(p, q) for p, q, _values, _mask in _private_survivors(curve, forms, consts, H)]
+    return [(p, q) for p, q, _values, _flat in _private_survivors(curve, forms, consts, H)]
 
 
 @pytest.mark.parametrize("text", BENCH_CURVES + [NO_INFINITY, QUADRATIC_PLACE])
@@ -201,9 +202,17 @@ def test_disagreement_raises(monkeypatch):
 
 
 def _same_stream(curve, H):
+    """Assert that the filter keeps the oracle's (p, q, values), each with
+    the flat of the oracle's private places: a basis of the span of their
+    rows of D."""
     forms, consts = _place_forms(curve)
+    rows = curve.divisor_matrix.entries
     stream = list(_private_survivors(curve, forms, consts, H))
-    assert stream == list(private_survivors_oracle(curve, forms, consts, H))
+    oracle = list(private_survivors_oracle(curve, forms, consts, H))
+    assert [s[:3] for s in stream] == [o[:3] for o in oracle]
+    for (p, q, _values, flat), (*_, mask) in zip(stream, oracle):
+        private = [row for k, row in enumerate(rows) if mask >> k & 1]
+        assert len(flat) == rank(private) == rank(list(flat) + private), (p, q)
     return stream
 
 
@@ -302,19 +311,23 @@ def _counting_tables(monkeypatch):
 
 
 def test_filter_stream_matches_oracle_on_many_place_curves(monkeypatch):
-    """Rows are sieved at the cheap places while many parameters are live,
-    and walked at the rest: on some curve a survivor walks a place that
-    has no table."""
+    """Rows are sieved from the tables of many places; a place whose table
+    would not repay takes pow bits instead: t - 1000, the first place of
+    its curve, is inside the table budget at H = 12, but its table never
+    repays, so every live parameter tests it by pow."""
     built = _counting_tables(monkeypatch)
-    walked = False
     for curve, H in zip(_many_place_curves(4, seed=21), (8, 10, 12, 14)):
-        linear = [p for p in curve.place_index if p.degree == 1 and not p.is_infinity]
         assert 20 <= len(curve.place_index) <= 81 and curve.n == 3
         del built[:]
-        survivors = _same_stream(curve, H)
+        _same_stream(curve, H)
         assert built and all(ok for _a0, _a1, ok in built)
-        walked |= bool(survivors) and len(built) < len(linear)
-    assert walked
+    assert explorer._sieve_table(-1000, 1, 1, 12) is not None
+    moduli = []
+    monkeypatch.setattr(explorer, "pow", lambda R, e, v: moduli.append(v) or pow(R, e, v), raising=False)
+    del built[:]
+    assert _same_stream(parse_curve("(t-1000)*(t+1); t/(t-2)"), 12)
+    assert built and all(a0 != -1000 for a0, _a1, _ok in built)
+    assert any(v >= 1000 - 12 for v in moduli)  # v = |p - 1000*q| at t - 1000 only
 
 
 def test_filter_stream_matches_oracle_past_the_table_budget(monkeypatch):
@@ -330,27 +343,27 @@ def test_filter_stream_matches_oracle_past_the_table_budget(monkeypatch):
     monkeypatch.setattr(explorer, "MAX_SIEVE_TABLE_BITS", 201)
     del built[:]
     assert _same_stream(parse_curve(BENCH_CURVES[3]), 50)
-    assert {(abs(a0) + a1, ok) for a0, a1, ok in built} == {(1, True), (2, True), (3, False)}
+    assert {(abs(a0) + a1, ok) for a0, a1, ok in built} == {(1, True), (2, True), (3, False), (4, False), (6, False)}
 
 
 def _verdicts(curve, H):
     """For every survivor, assert that the sub-torus verdict, on the
-    monomials over the kernel of its private rows, equals the verdict on
-    the n products |x_i|; return each survivor's (mask is 0, kernel rank,
+    monomials over the kernel of its flat, equals the verdict on the n
+    products |x_i|; return each survivor's (flat is (), kernel rank,
     dependent)."""
     forms, consts = _place_forms(curve)
     rows = curve.divisor_matrix.entries
     constants = [[(abs(c.numerator), 1), (c.denominator, -1)] for c in consts]
     supports = [[(k, row[i]) for k, row in enumerate(rows) if row[i]] for i in range(curve.n)]
     seen = []
-    for p, q, values, mask in _private_survivors(curve, forms, consts, H):
+    for p, q, values, flat in _private_survivors(curve, forms, consts, H):
         whole = [const + [(values[k], m) for k, m in support] for const, support in zip(constants, supports)]
-        monomials = _sub_torus(rows, consts, mask)
-        assert all(not mask >> k & 1 for _const, places in monomials for k, _m in places)
+        monomials = _sub_torus(rows, consts, flat)
+        assert all(rank(flat + (rows[k],)) > len(flat) for _const, places in monomials for k, _m in places)
         sub = [const + [(values[k], m) for k, m in places] for const, places in monomials]
         independent = independent_over_coprime_base(whole)
         assert independent_over_coprime_base(sub) == independent, (p, q)
-        seen.append((mask == 0, len(monomials), not independent))
+        seen.append((flat == (), len(monomials), not independent))
     return seen
 
 
@@ -359,7 +372,7 @@ def test_sub_torus_verdict_matches_whole_point():
     curves += [(parse_curve(QUADRATIC_PLACE), 30), (parse_curve(NO_INFINITY), 30)]
     curves += [(parse_curve(text), H) for text, H, _place in MORE_CURVES]
     seen = [kind for curve, H in curves for kind in _verdicts(curve, H)]
-    assert any(zero_mask for zero_mask, _s, _dep in seen)
+    assert any(no_flat for no_flat, _s, _dep in seen)
     assert any(s >= 2 for _zero, s, _dep in seen)
     assert any(dep for *_kind, dep in seen) and not all(dep for *_kind, dep in seen)
 
