@@ -9,13 +9,12 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .curvegeom import (
     Character,
     CurveData,
     NormalizedCharacter,
-    Place,
     normalize_character,
     phi_enumerate,
     two_point_divisor,
@@ -82,9 +81,13 @@ def parse_curve(text: str) -> CurveData:
     return CurveData.build(parse_coordinates(text))
 
 
-def _cyclotomic_factors(curve: CurveData, ch: NormalizedCharacter, d: int) -> List[Poly]:
-    """Minimal polynomials of the t where the character ch is a primitive
-    d-th root of unity and every coordinate is finite and nonzero.
+def _cyclotomic_factors(
+    ch: NormalizedCharacter, ds: Sequence[int], places: Set[Tuple[Fraction, ...]]
+) -> List[Tuple[int, Poly]]:
+    """(d, q) for each d in ds and each minimal polynomial q of the t where
+    the character ch is a primitive d-th root of unity and every coordinate
+    is finite and nonzero, in factor_key order of q (distinct: the q of
+    different d have disjoint roots). The order-N fiber is the q with d | N.
 
     In its normal form c * s**m, s = L_P/L_Q, take the irreducible factors
     h of Phi_d(c * s**m): for c = eps * b**m (b = u/v > 0, eps = +-1) the
@@ -93,33 +96,36 @@ def _cyclotomic_factors(curve: CurveData, ch: NormalizedCharacter, d: int) -> Li
     otherwise the factor_poly factors with their denominators cleared, or
     DomainError when the degree m*phi(d) exceeds MAX_FALLBACK_DEGREE. Each
     h goes through _map_back once. A constant image is the root t = inf
-    and is dropped; the others are kept iff not a place of the curve.
+    and is dropped; the others are kept iff their coefficients are not
+    those of a finite place of the curve, in places.
     """
     m, c = ch.m, ch.c
     b = nth_power_in_Q(abs(c), m)
-    if b is None:
-        cs = cyclotomic_poly(d).coeffs
-        degree = m * (len(cs) - 1)
-        if degree > MAX_FALLBACK_DEGREE:
-            raise DomainError(f"a fiber to factor of degree {degree} exceeds {MAX_FALLBACK_DEGREE}")
-        sparse = [Fraction(0)] * (degree + 1)
-        sparse[::m] = [x * c ** k for k, x in enumerate(cs)]
+    tagged = []
+    for d in ds:
         hs = []
-        for h, _mult in factor_poly(Poly(sparse))[1]:
-            D = math.lcm(*(x.denominator for x in h.coeffs))
-            hs.append([x.numerator * (D // x.denominator) for x in h.coeffs])
-    else:
-        d2 = d if c > 0 or d % 4 == 0 else d // 2 if d % 2 == 0 else 2 * d
-        u, v = b.as_integer_ratio()
-        hs = []
-        for e in range(1, m * d2 + 1):
-            if m * d2 % e == 0 and e // math.gcd(e, m) == d2:
-                phi = cyclotomic_poly(e).coeffs
-                k = len(phi) - 1
-                hs.append([x.numerator * u ** j * v ** (k - j) for j, x in enumerate(phi)])
-    places = set(curve.place_index)
-    images = [_map_back(h, ch) for h in hs]
-    return [q for q in images if q.degree > 0 and Place.finite(q) not in places]
+        if b is None:
+            cs = cyclotomic_poly(d).coeffs
+            degree = m * (len(cs) - 1)
+            if degree > MAX_FALLBACK_DEGREE:
+                raise DomainError(f"a fiber to factor of degree {degree} exceeds {MAX_FALLBACK_DEGREE}")
+            sparse = [Fraction(0)] * (degree + 1)
+            sparse[::m] = [x * c ** k for k, x in enumerate(cs)]
+            for h, _mult in factor_poly(Poly(sparse))[1]:
+                D = math.lcm(*(x.denominator for x in h.coeffs))
+                hs.append([x.numerator * (D // x.denominator) for x in h.coeffs])
+        else:
+            d2 = d if c > 0 or d % 4 == 0 else d // 2 if d % 2 == 0 else 2 * d
+            u, v = b.as_integer_ratio()
+            for e in range(1, m * d2 + 1):
+                if m * d2 % e == 0 and e // math.gcd(e, m) == d2:
+                    phi = cyclotomic_poly(e).coeffs
+                    k = len(phi) - 1
+                    hs.append([x.numerator * u ** j * v ** (k - j) for j, x in enumerate(phi)])
+        images = (_map_back(h, ch) for h in hs)
+        tagged += [(d, q) for q in images if q.degree > 0 and q.coeffs not in places]
+    tagged.sort(key=lambda dq: factor_key(dq[1]))
+    return tagged
 
 
 def _map_back(h: List[int], ch: NormalizedCharacter) -> Poly:
@@ -146,13 +152,6 @@ def _map_back(h: List[int], ch: NormalizedCharacter) -> Poly:
     return Poly([Fraction(x, image[-1]) for x in image])
 
 
-def _order_fiber(by_divisor: Dict[int, List[Poly]], N: int) -> Tuple[Poly, ...]:
-    """The order-N fiber from the factors of every d | N. Roots of unity of
-    different orders give disjoint root sets, so nothing repeats."""
-    found = [q for d, qs in by_divisor.items() if N % d == 0 for q in qs]
-    return tuple(sorted(found, key=factor_key))
-
-
 def _require_fiber_budget(m: int, orders: int) -> None:
     if m * orders > MAX_FIBER_DEGREE:
         raise DomainError(f"torsion fibers of total degree {m * orders} exceed {MAX_FIBER_DEGREE}")
@@ -173,22 +172,23 @@ def torsion_fiber(curve: CurveData, a: Sequence[int], N: int) -> Tuple[Poly, ...
     dividing N, as the minimal polynomials of its points in the curve
     parameter.
 
-    The restriction is c * s**m in s = L_P/L_Q, and the fiber is the union
-    over d | N of the _cyclotomic_factors of d, of total degree at most
-    m*N; each factor is built in integers and mapped back once, and those
-    of different d have disjoint roots and are merged in factor_poly order
-    (analyze orders each +-a pair's fibers once and shares the tuples
-    between a and -a). Raises what CurveData.require_proper raises, and
-    DomainError when m*N exceeds MAX_FIBER_DEGREE, checked before c is
-    built, or a polynomial to factor exceeds MAX_FALLBACK_DEGREE.
+    The restriction is c * s**m in s = L_P/L_Q, and the fiber is the
+    _cyclotomic_factors of the divisors d of N, of total degree at most
+    m*N, in factor_poly order; each factor is built in integers and mapped
+    back once. analyze assembles every order of a +-a pair from one such
+    sorted list, over d <= its bound, and shares the tuples between a and
+    -a. Raises what CurveData.require_proper raises, and DomainError when
+    m*N exceeds MAX_FIBER_DEGREE, checked before c is built, or a
+    polynomial to factor exceeds MAX_FALLBACK_DEGREE.
     """
     curve.require_proper()
     if N < 1:
         raise DomainError("torsion order must be positive")
     _require_fiber_budget(two_point_divisor(curve, a)[2], N)  # validates the character
-    norm = normalize_character(curve, a)
-    by_divisor = {d: _cyclotomic_factors(curve, norm, d) for d in range(1, N + 1) if N % d == 0}
-    return _order_fiber(by_divisor, N)
+    divisors = [d for d in range(1, N + 1) if N % d == 0]
+    places = {place.poly.coeffs for place in curve.place_index if not place.is_infinity}
+    tagged = _cyclotomic_factors(normalize_character(curve, a), divisors, places)
+    return tuple(q for _d, q in tagged)
 
 
 def _place_forms(curve: CurveData) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[Fraction, ...]]:
@@ -466,7 +466,8 @@ def scan_dependent(
     span of those rows, and the point is dependent iff the _sub_torus
     monomials of any basis of that kernel are, which
     multdep.independent_over_coprime_base decides from the c_i and the
-    values of the places outside the flat by gcds alone. Only dependent parameters are evaluated
+    values of the places outside the flat, one monomial by residues first
+    and the rest by gcds alone. Only dependent parameters are evaluated
     and passed to relation_lattice; a zero lattice there means the two
     routes disagree and raises InvariantViolation.
     """
@@ -593,20 +594,21 @@ def analyze(curve_text: str, config: AnalysisConfig = AnalysisConfig()) -> Repor
     bound, and the bounded-height dependence scan."""
     curve = parse_curve(curve_text).require_proper()
     phi = tuple(phi_enumerate(curve))
-    # One list of ordered fibers per +-a pair: a and -a have the same fibers,
-    # and the entries of both share its tuples (and so their renderings).
+    # One list of fibers per +-a pair, cut from one sorted list of d-tagged
+    # factors; a and -a share its tuples (and so their renderings).
     bound = config.torsion_order_bound
     m = max((ch.m for ch in phi), default=0)
     if m:
         _require_fiber_budget(m, bound)  # sum(phi(d)) >= bound: keeps the sieve small
         _require_fiber_budget(m, _totient_sum(bound))
+    places = {place.poly.coeffs for place in curve.place_index if not place.is_infinity}
     ordered: Dict[Character, List[Tuple[Poly, ...]]] = {}
     fibers = []
     for ch in phi:
         key = max(ch.a, tuple(-x for x in ch.a))
         if key not in ordered:
-            by_divisor = {d: _cyclotomic_factors(curve, ch, d) for d in range(1, bound + 1)}
-            ordered[key] = [_order_fiber(by_divisor, order) for order in range(1, bound + 1)]
+            tagged = _cyclotomic_factors(ch, range(1, bound + 1), places)
+            ordered[key] = [tuple(q for d, q in tagged if N % d == 0) for N in range(1, bound + 1)]
         fibers.extend((ch.a, order, fiber) for order, fiber in enumerate(ordered[key], 1))
     scan = tuple(scan_dependent(curve, config, phi))
     return Report(

@@ -73,6 +73,8 @@ _RHO_WIDTH = 256
 # the parser's budgets: past it, factoring raises DomainError instead of
 # running on.
 MAX_RHO_STEPS = 1 << 21
+# The prime modulus of independent_over_coprime_base's one-product residues.
+_RESIDUE_MODULUS = (1 << 61) - 1
 
 
 def factor_int(n: int) -> Dict[int, int]:
@@ -359,7 +361,17 @@ def independent_over_coprime_base(products: Sequence[Sequence[Tuple[int, int]]])
     integer). Their exponent vectors over the coprime base of all the v
     have rank len(products) iff so: pairwise coprime integers > 1 are
     multiplicatively independent, so this rank is the rank over the
-    primes. No factoring."""
+    primes. No factoring.
+
+    One product is independent iff it is not 1: its numerator prod(v ** k)
+    over k > 0 and denominator prod(v ** -k) over k < 0 are first compared
+    mod _RESIDUE_MODULUS, never multiplied out, and differ if those do."""
+    if len(products) == 1:
+        residues = [1, 1]  # numerator, denominator
+        for v, k in products[0]:
+            residues[k < 0] = residues[k < 0] * pow(v, abs(k), _RESIDUE_MODULUS) % _RESIDUE_MODULUS
+        if residues[0] != residues[1]:
+            return True
     return rank(_coprime_rows(products)[1]) == len(products)
 
 

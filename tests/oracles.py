@@ -17,7 +17,10 @@ divisor matrix and c from leading coefficients. compose substitutes one
 rational function into another in sympy.Poly alone, so no oracle composes
 with the library's own arithmetic. power_fiber_oracle factors the numerator
 of phi**N - 1 instead of mapping cyclotomic factors of the normal form back
-through the Moebius change, map_back_oracle maps a factor back
+through the Moebius change, order_fibers_oracle assembles each order's
+fiber from separate per-divisor factor lists, each d's built and filtered
+against Place objects on its own, and sorts every order afresh instead of
+sorting a +-a pair's d-tagged factors once, map_back_oracle maps a factor back
 through the Moebius change by its own Horner composition over Fractions
 instead of int_shift on integer coefficient lists, cyclotomic_poly_oracle divides t**n - 1 by
 every Phi_d instead of building Phi_n from its radical, and
@@ -48,8 +51,8 @@ from torusdep.curvegeom import (
     phi_enumerate,
 )
 from torusdep.errors import DomainError, InvariantViolation, PreconditionError
-from torusdep.exactcore import Poly, RatFunc, factor_poly
-from torusdep.explorer import AnalysisConfig, ScanRecord
+from torusdep.exactcore import Poly, RatFunc, cyclotomic_poly, factor_key, factor_poly, nth_power_in_Q
+from torusdep.explorer import MAX_FALLBACK_DEGREE, AnalysisConfig, ScanRecord, _map_back
 from torusdep.intlattice import (
     IntMatrix,
     LatticeBasis,
@@ -603,6 +606,52 @@ def power_fiber_oracle(curve: CurveData, a: Sequence[int], N: int) -> List[Poly]
         q
         for q, _mult in factor_poly(g.num)[1]
         if not any(q.divides(f.num) or q.divides(f.den) for f in curve.coords)
+    ]
+
+
+def _divisor_factors(curve: CurveData, ch: NormalizedCharacter, d: int) -> List[Poly]:
+    """The monic images under _map_back of the irreducible factors of
+    Phi_d(c * s**m), c * s**m the normal form of ch, that are neither the
+    root t = inf (a constant image) nor a place of the curve: for
+    c = eps * b**m the Phi_e(b*s) over the e | m*d2 with e/gcd(e, m) = d2,
+    the order of eps * zeta_d, else factor_poly's factors (DomainError past
+    MAX_FALLBACK_DEGREE)."""
+    m, c = ch.m, ch.c
+    b = nth_power_in_Q(abs(c), m)
+    if b is None:
+        cs = cyclotomic_poly(d).coeffs
+        degree = m * (len(cs) - 1)
+        if degree > MAX_FALLBACK_DEGREE:
+            raise DomainError(f"a fiber to factor of degree {degree} exceeds {MAX_FALLBACK_DEGREE}")
+        sparse = [Fraction(0)] * (degree + 1)
+        sparse[::m] = [x * c ** k for k, x in enumerate(cs)]
+        hs = []
+        for h, _mult in factor_poly(Poly(sparse))[1]:
+            D = math.lcm(*(x.denominator for x in h.coeffs))
+            hs.append([x.numerator * (D // x.denominator) for x in h.coeffs])
+    else:
+        d2 = d if c > 0 or d % 4 == 0 else d // 2 if d % 2 == 0 else 2 * d
+        u, v = b.as_integer_ratio()
+        hs = []
+        for e in range(1, m * d2 + 1):
+            if m * d2 % e == 0 and e // math.gcd(e, m) == d2:
+                phi = cyclotomic_poly(e).coeffs
+                k = len(phi) - 1
+                hs.append([x.numerator * u ** j * v ** (k - j) for j, x in enumerate(phi)])
+    places = set(curve.place_index)
+    images = [_map_back(h, ch) for h in hs]
+    return [q for q in images if q.degree > 0 and Place.finite(q) not in places]
+
+
+def order_fibers_oracle(curve: CurveData, a: Sequence[int], bound: int) -> List[Tuple[Poly, ...]]:
+    """The fibers of the character a at the orders 1 to bound, each the
+    factors of every d | N from _divisor_factors, sorted by factor_key on
+    its own."""
+    ch = next(ch for ch in phi_enumerate(curve) if ch.a == tuple(a))
+    by_divisor = {d: _divisor_factors(curve, ch, d) for d in range(1, bound + 1)}
+    return [
+        tuple(sorted((q for d, qs in by_divisor.items() if N % d == 0 for q in qs), key=factor_key))
+        for N in range(1, bound + 1)
     ]
 
 

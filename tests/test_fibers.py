@@ -1,7 +1,10 @@
 """Torsion fibers against power_fiber_oracle, which factors the numerator
 of phi**N - 1 directly: on the curves of the analyze benchmark, and on
-curves that reach every branch of the normal-form route. The integer
-map-back against map_back_oracle, which maps a factor back in Fractions."""
+curves that reach every branch of the normal-form route. analyze's fiber
+table against order_fibers_oracle, which assembles and sorts every order
+on its own, and against torsion_fiber. The integer map-back against
+map_back_oracle, which maps a factor back in Fractions."""
+import contextlib
 import hashlib
 import math
 import random
@@ -9,11 +12,12 @@ import time
 from fractions import Fraction as F
 
 import pytest
-from oracles import map_back_oracle, power_fiber_oracle
+from oracles import character_restrict, map_back_oracle, order_fibers_oracle, power_fiber_oracle
 
 from torusdep import explorer
 from torusdep.curvegeom import NormalizedCharacter, Place, phi_enumerate
-from torusdep.exactcore import Poly, cyclotomic_poly, factor_poly
+from torusdep.errors import DomainError, PreconditionError
+from torusdep.exactcore import Poly, cyclotomic_poly, factor_poly, nth_power_in_Q
 from torusdep.explorer import AnalysisConfig, analyze, parse_curve, torsion_fiber
 
 CURVES = (
@@ -175,3 +179,87 @@ def test_analyze_reuses_one_fiber_per_pair_and_order():
     fibers = {(a, N): polys for a, N, polys in report.fibers}
     for a, N, polys in report.fibers:
         assert fibers[tuple(-x for x in a), N] is polys
+
+
+def _fibers_by_char(report):
+    """{a: [fiber of order 1, 2, ...]} from an analyze report."""
+    table = {}
+    for a, _N, polys in report.fibers:
+        table.setdefault(a, []).append(polys)
+    return table
+
+
+@pytest.mark.parametrize("text, top", [(text, 24) for text in CURVES] + list(BRANCH_CURVES))
+def test_analyze_fibers_match_order_fibers_oracle(text, top):
+    """Each order's fiber, in order, and torsion_fiber at every N <= top."""
+    curve = parse_curve(text)
+    table = _fibers_by_char(analyze(text, AnalysisConfig(torsion_order_bound=top, scan_height_bound=1)))
+    assert set(table) == {ch.a for ch in phi_enumerate(curve)}
+    for a, fibers in table.items():
+        assert fibers == order_fibers_oracle(curve, a, top), a
+        for N, fiber in enumerate(fibers, 1):
+            assert torsion_fiber(curve, a, N) == fiber, (a, N)
+
+
+def _seeded_curves(count, seed):
+    """Proper curves of two coordinates, each a constant times one or two
+    powers of t - r, r in [-3, 3], that have a character."""
+    rng = random.Random(seed)
+
+    def coord():
+        exponents = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(rng.randint(1, 2))]
+        factors = (f"(t{-rng.randint(-3, 3):+d})^{e}" for e in exponents)
+        return "*".join((rng.choice(("1", "-1", "2", "-2", "3", "-4", "1/4", "-9/4", "-8")), *factors))
+
+    curves = []
+    while len(curves) < count:
+        text = f"{coord()}; {coord()}"
+        try:
+            curve = parse_curve(text).require_proper()
+        except PreconditionError:
+            continue
+        if phi_enumerate(curve):
+            curves.append((text, curve))
+    return curves
+
+
+def _branches(curve, ch):
+    """The routes ch's fibers take: the factor_poly fallback, c < 0 (whose
+    d odd, d even and 4 | d differ at every bound from 4), and a factor
+    equal to a degree-1 place, where the restricted character is +-1."""
+    kinds = {"fallback"} if nth_power_in_Q(abs(ch.c), ch.m) is None else set()
+    if ch.c < 0:
+        kinds.add("negative c")
+    restricted = character_restrict(curve, ch.a)
+    for place in curve.place_index:
+        if place.degree == 1 and not place.is_infinity:
+            with contextlib.suppress(ZeroDivisionError):
+                if abs(restricted(place.rational_root())) == 1:
+                    kinds.add("place")
+    return kinds
+
+
+def _outcome(compute):
+    try:
+        return compute()
+    except DomainError as err:
+        return str(err)
+
+
+def test_seeded_fibers_match_order_fibers_oracle():
+    """The same fibers, or the same fallback budget error, on seeded curves
+    that reach every route; torsion_fiber agrees at every order."""
+    top = 12
+    seen = set()
+    for text, curve in _seeded_curves(30, seed=23):
+        chars = phi_enumerate(curve)
+        config = AnalysisConfig(torsion_order_bound=top, scan_height_bound=1)
+        expected = _outcome(lambda: {ch.a: order_fibers_oracle(curve, ch.a, top) for ch in chars})
+        assert _outcome(lambda: _fibers_by_char(analyze(text, config))) == expected, text
+        if isinstance(expected, str):
+            continue
+        for ch in chars:
+            seen |= _branches(curve, ch)
+            for N, fiber in enumerate(expected[ch.a], 1):
+                assert torsion_fiber(curve, ch.a, N) == fiber, (text, ch.a, N)
+    assert seen == {"fallback", "negative c", "place"}

@@ -84,6 +84,24 @@ def test_4300_digit_constant_answers():
     assert [r["t"] for r in json.loads(done.stdout)["scan"]] == ["-2"]
 
 
+def test_4300_digit_constant_to_the_200th_power_answers():
+    """x_2's place t - 3 also divides x_1 = N*(t-3)*t, so a survivor's
+    product can hold N and (p - 3q)**200 together; the scan compares residues
+    of such products instead of multiplying them out. N's primes exceed 20,
+    so a relation has no x_1 and x_2 = (t-3)**200*(t+1) is never +-1: no
+    parameter is dependent. The digest is that of commit a4d333a."""
+    curve = f"{10 ** 4299 + 7}*(t-3)*t; (t-3)^200*(t+1)"
+    argv = ["analyze", "--curve", curve, "--torsion-order", "2", "--scan-height", "20"]
+    done = subprocess.run(
+        [sys.executable, "-m", "torusdep.cli", *argv], env=_src_env(), capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["scan"] == []
+    assert hashlib.sha256(done.stdout.encode()).hexdigest() == (
+        "4db37d031e89eb40418082079e688e6b91ddc4ab3297f8a9b5d142680f017fc4"
+    )
+
+
 SEVENS, NINES = "7" * 4300, "9" * 4300
 # coordinates of 1657 and 2079 digits, inside MAX_LITERAL_DIGITS
 K = 1200

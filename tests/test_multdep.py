@@ -3,12 +3,18 @@ import random
 from fractions import Fraction as F
 
 import pytest
+import sympy
 
 from oracles import dependence_oracle, express_in_basis, reconstruct
+from torusdep import multdep
 from torusdep.errors import DomainError
+from torusdep.intlattice import rank
 from torusdep.multdep import (
+    _RESIDUE_MODULUS as M,
+    _coprime_rows,
     decompose,
     factor_rational,
+    independent_over_coprime_base,
     is_dependent,
     is_primitively_dependent,
     point_height,
@@ -210,3 +216,98 @@ def test_height_combination_is_finite_and_reproducible():
             )
         )
     assert values == values2
+
+
+def _factorint_verdict(product):
+    """Independence of one product from its exponent vector over the primes,
+    by sympy.factorint: independent iff some exponent is nonzero."""
+    exps = {}
+    for v, k in product:
+        for p, e in sympy.factorint(v).items():
+            exps[p] = exps.get(p, 0) + k * e
+    return any(exps.values())
+
+
+def _rank_verdict(product):
+    return rank(_coprime_rows([product])[1]) == 1
+
+
+def _seeded_products(rng, count):
+    """Products of 1 to 6 (v, k) pairs over small smooth v, about half of
+    them planted to equal 1 by appending the inverse of a prefix."""
+    out = []
+    for _ in range(count):
+        pairs = [(math.prod(rng.choice((1, 2, 3, 5, 6, 7, 10, 12, 49)) for _ in range(3)), rng.randint(-4, 4))
+                 for _ in range(rng.randint(1, 6))]
+        if rng.random() < 0.5:
+            pairs += [(v, -k) for v, k in rng.sample(pairs, len(pairs))]
+        out.append(pairs)
+    return out
+
+
+def _counted_coprime_base(monkeypatch):
+    calls = []
+    real = multdep.coprime_base
+
+    def counting(values):
+        calls.append(values)
+        return real(values)
+
+    monkeypatch.setattr(multdep, "coprime_base", counting)
+    return calls
+
+
+def test_one_product_verdict_matches_factorint_and_rank():
+    rng = random.Random(2323)
+    independent = 0
+    for product in _seeded_products(rng, 400):
+        verdict = independent_over_coprime_base([product])
+        assert verdict == _factorint_verdict(product) == _rank_verdict(product), product
+        independent += verdict
+    assert 100 < independent < 300
+
+
+@pytest.mark.parametrize(
+    "product, independent",
+    [
+        ([(6, 2), (4, -1), (9, -1)], False),  # exactly 1
+        ([(1, 5)], False),  # a value equal to 1
+        ([(1, 3), (1, -2)], False),
+        ([(7, 0)], False),
+        ([], False),
+        ([(M + 1, 1), (1, -1)], True),  # residues collide, the value is M + 1
+        ([(M, 1), (2 * M, -1)], True),  # residues collide, the value is 1/2
+        ([(M, 3), (M ** 3, -1)], False),
+        ([(2, 61), (M + 1, -1)], False),
+    ],
+)
+def test_one_product_planted_verdicts(product, independent):
+    assert independent_over_coprime_base([product]) == independent
+    assert _rank_verdict(product) == independent
+    if all(v < 1 << 64 for v, _k in product):
+        assert _factorint_verdict(product) == independent
+
+
+def test_residue_collision_takes_the_exact_route(monkeypatch):
+    """Equal residues build the coprime base; different ones never do."""
+    calls = _counted_coprime_base(monkeypatch)
+    assert independent_over_coprime_base([[(M + 1, 1), (1, -1)]])
+    assert independent_over_coprime_base([[(M, 1), (2 * M, -1)]])
+    assert not independent_over_coprime_base([[(6, 2), (4, -1), (9, -1)]])
+    assert len(calls) == 3
+    assert independent_over_coprime_base([[(6, 2), (4, -1), (9, -2)]])
+    assert independent_over_coprime_base([[(M - 1, 1)]])
+    assert len(calls) == 3
+    # two products or more always take the rank
+    assert not independent_over_coprime_base([[(2, 1)], [(4, 1)]])
+    assert len(calls) == 4
+
+
+def test_one_product_with_a_4300_digit_base():
+    N = 10 ** 4299 + 7
+    assert independent_over_coprime_base([[(N, 256)]])
+    assert independent_over_coprime_base([[(N, 256), (N ** 2, -127)]])
+    assert not independent_over_coprime_base([[(N, 256), (N ** 2, -128)]])
+    assert not independent_over_coprime_base([[(N, 256), (3, 5), (N ** 4, -64), (243, -1)]])
+    assert _rank_verdict([(N, 256), (N ** 2, -127)])
+    assert not _rank_verdict([(N, 256), (N ** 2, -128)])
