@@ -44,7 +44,6 @@ from .multdep import (
     is_primitively_dependent,
     point_height,
     relation_lattice,
-    root_of_unity_order,
     weil_height,
 )
 from .explorer import (

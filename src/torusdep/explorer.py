@@ -22,12 +22,7 @@ from .curvegeom import (
 from .errors import DomainError, InvariantViolation
 from .exactcore import Poly, cyclotomic_poly, factor_key, factor_poly, int_shift, nth_power_in_Q, render
 from .intlattice import IntMatrix, kernel_basis, primitive_witness
-from .multdep import (
-    independent_over_coprime_base,
-    point_height,
-    relation_lattice,
-    root_of_unity_order,
-)
+from .multdep import _primes_below, independent_over_coprime_base, point_height, relation_lattice
 from .parser import parse_coordinates
 
 # Budget on fiber degree: m*N in torsion_fiber, m*sum(phi(d), d <= N) in analyze.
@@ -152,6 +147,26 @@ def _map_back(h: List[int], ch: NormalizedCharacter) -> Poly:
     return Poly([Fraction(x, image[-1]) for x in image])
 
 
+def _rational_fiber_points(ch: NormalizedCharacter) -> List[Fraction]:
+    """The finite rational t where the character ch is +-1, the only roots
+    of unity in Q, places of the curve included: on its normal form
+    c * s**m, s = L_P/L_Q, the s0 = +-1/b for |c| = b**m, none when |c| is
+    not an m-th power, each mapped back by the inverse of the Mobius map s
+    (s0 = 1 is t = inf when both places are finite)."""
+    b = nth_power_in_Q(abs(ch.c), ch.m)
+    if b is None:
+        return []
+    points = []
+    for s0 in (1 / b, -1 / b):
+        if ch.Q.is_infinity:
+            points.append(ch.P.rational_root() + s0)
+        elif ch.P.is_infinity:
+            points.append(ch.Q.rational_root() + 1 / s0)
+        elif s0 != 1:
+            points.append((ch.P.rational_root() - s0 * ch.Q.rational_root()) / (1 - s0))
+    return points
+
+
 def _require_fiber_budget(m: int, orders: int) -> None:
     if m * orders > MAX_FIBER_DEGREE:
         raise DomainError(f"torsion fibers of total degree {m * orders} exceed {MAX_FIBER_DEGREE}")
@@ -268,15 +283,11 @@ def _private_survivors(
 
     @functools.cache
     def span(key: int, k: int) -> Optional[int]:
-        basis, row = bases[key], rows[k]
-        for b in basis:  # zero at every pivot but its own
-            c = next(j for j, x in enumerate(b) if x)
-            row = [b[c] * x - row[c] * y for x, y in zip(row, b)]
-        if not any(row):
+        basis = _reduced_rows(bases[key] + (rows[k],))
+        if len(basis) == len(bases[key]):
             return key
-        if len(basis) + 1 == curve.n:
+        if len(basis) == curve.n:
             return None
-        basis = _reduced_rows(basis + (row,))
         if basis not in flats:
             flats[basis] = len(bases)
             bases.append(basis)
@@ -362,8 +373,8 @@ def _form_at(f: Sequence[int], p: int, q: int) -> int:
 
 
 def _reduced_rows(vectors: Sequence[Sequence[int]]) -> Tuple[Tuple[int, ...], ...]:
-    """The reduced row echelon form over Q of independent integer vectors,
-    each row scaled to integers of gcd 1 with a positive pivot: a
+    """The nonzero rows of the reduced row echelon form over Q of integer
+    vectors, each scaled to integers of gcd 1 with a positive pivot: a
     canonical basis of their span."""
     m = [list(v) for v in vectors]
     r = 0
@@ -377,7 +388,7 @@ def _reduced_rows(vectors: Sequence[Sequence[int]]) -> Tuple[Tuple[int, ...], ..
             if i != r and w[c]:
                 m[i] = [v[c] * x - w[c] * y for x, y in zip(w, v)]
         r += 1
-    return tuple(tuple(x // math.gcd(*v) * (1 if next(y for y in v if y) > 0 else -1) for x in v) for v in m)
+    return tuple(tuple(x // math.gcd(*v) * (1 if next(y for y in v if y) > 0 else -1) for x in v) for v in m[:r])
 
 
 def _sieve_table(a0: int, a1: int, R: int, H: int) -> Optional[List[int]]:
@@ -390,13 +401,8 @@ def _sieve_table(a0: int, a1: int, R: int, H: int) -> Optional[List[int]]:
     V = (abs(a0) + a1) * H
     if 2 * V + 1 > MAX_SIEVE_TABLE_BITS:
         return None
-    sieve = bytearray([1]) * (V + 1)
-    sieve[:2] = b"\0\0"
-    for l in range(2, math.isqrt(V) + 1):
-        if sieve[l]:
-            sieve[l * l::l] = bytes(len(range(l * l, V + 1, l)))
     half = bytearray(b"0") * (V + 1)
-    for l in itertools.compress(range(V + 1), sieve):
+    for l in _primes_below(V + 1):
         if R % l:
             half[l::l] = b"1" * (V // l)
     line = (half[:0:-1] + half).decode()  # z = -V .. V
@@ -470,20 +476,26 @@ def scan_dependent(
     and the rest by gcds alone. Only dependent parameters are evaluated
     and passed to relation_lattice; a zero lattice there means the two
     routes disagree and raises InvariantViolation.
+
+    A record is FIBER(a) for the first character, positive orientation
+    first, whose _rational_fiber_points hold t0. Those points are dependent
+    (2a is a relation), so one off the places with max(|p|, q) <= H that no
+    record holds raises InvariantViolation.
     """
     curve.require_proper()
     if characters is None:
         characters = phi_enumerate(curve)
-    # Prefer the positively oriented member of each +- pair when classifying.
-    ordered = sorted(
-        characters,
-        key=lambda ch: (next((x for x in ch.a if x), 0) < 0, ch.a),
-    )
+    fiber_of: Dict[Fraction, Character] = {}
+    # the positively oriented member of each +- pair first
+    for ch in sorted(characters, key=lambda ch: (next((x for x in ch.a if x), 0) < 0, ch.a)):
+        for t0 in _rational_fiber_points(ch):
+            fiber_of.setdefault(t0, ch.a)
+    H = config.scan_height_bound
     forms, consts = _place_forms(curve)
     rows = curve.divisor_matrix.entries
     monomials = functools.cache(functools.partial(_sub_torus, rows, consts))
     records = []
-    for p, q, values, flat in _private_survivors(curve, forms, consts, config.scan_height_bound):
+    for p, q, values, flat in _private_survivors(curve, forms, consts, H):
         products = [const + [(values[k], m) for k, m in places] for const, places in monomials(flat)]
         if independent_over_coprime_base(products):
             continue
@@ -494,14 +506,6 @@ def scan_dependent(
             raise InvariantViolation(f"rank test and relation lattice disagree at t = {t0}")
         witness = primitive_witness(lattice)
         relation = witness if witness is not None else lattice.vectors[0]
-        fiber_char = None
-        for ch in ordered:
-            value = Fraction(1)
-            for x, e in zip(point, ch.a):
-                value *= x ** e
-            if root_of_unity_order(value) is not None:
-                fiber_char = ch.a
-                break
         records.append(
             ScanRecord(
                 parameter=t0,
@@ -510,9 +514,14 @@ def scan_dependent(
                 primitive=witness is not None,
                 relation=relation,
                 height=point_height(point),
-                fiber_character=fiber_char,
+                fiber_character=fiber_of.get(t0),
             )
         )
+    found = {r.parameter for r in records}
+    for t0 in fiber_of:
+        p, q = t0.numerator, t0.denominator
+        if max(abs(p), q) <= H and t0 not in found and all(_form_at(f, p, q) for f in forms):
+            raise InvariantViolation(f"fiber point t = {t0} missed by the scan")
     records.sort(key=lambda r: (r.height, r.parameter))
     return records
 

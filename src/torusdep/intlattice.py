@@ -101,6 +101,15 @@ class LatticeBasis:
         if vecs and rank(vecs) != len(vecs):
             raise DomainError("basis vectors are linearly dependent")
 
+    @classmethod
+    def _independent(cls, ambient: int, vectors: Tuple[Vector, ...]) -> "LatticeBasis":
+        """A basis of integer vectors of length ambient that are independent
+        by construction, without the rank check: Bareiss is cubic in n."""
+        basis = object.__new__(cls)
+        object.__setattr__(basis, "ambient", ambient)
+        object.__setattr__(basis, "vectors", vectors)
+        return basis
+
     @property
     def rank(self) -> int:
         return len(self.vectors)
@@ -164,8 +173,9 @@ def left_kernel(M: IntMatrix) -> Tuple[Vector, ...]:
 
 
 def kernel_basis(M: IntMatrix) -> LatticeBasis:
-    """A basis of the saturated lattice {a in Z^cols : M @ a = 0}."""
-    return LatticeBasis(M.cols, left_kernel(M.transpose()))
+    """A basis of the saturated lattice {a in Z^cols : M @ a = 0}: rows of
+    a unimodular transform, so independent."""
+    return LatticeBasis._independent(M.cols, left_kernel(M.transpose()))
 
 
 def _sign_normalized(v: Sequence[int]) -> Vector:

@@ -12,6 +12,7 @@ on a cofactor of 2^24 or more.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,7 +54,7 @@ def _primes_below(n: int) -> Tuple[int, ...]:
     for p in range(2, math.isqrt(n) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytes(len(range(p * p, n, p)))
-    return tuple(p for p, flag in enumerate(sieve) if flag)
+    return tuple(itertools.compress(range(n), sieve))
 
 
 _SMALL_BOUND = 1 << 12
@@ -398,7 +399,8 @@ def relation_lattice(P: Sequence[Fraction]) -> LatticeBasis:
         for i in odd[1:]:
             vecs[i] = tuple(x - y for x, y in zip(vecs[i], vecs[pivot]))
         vecs[pivot] = tuple(2 * x for x in vecs[pivot])
-    return LatticeBasis(n, tuple(vecs))
+    # independent: unimodular rows, then a triangular map with nonzero diagonal
+    return LatticeBasis._independent(n, tuple(vecs))
 
 
 def is_dependent(P: Sequence[Fraction]) -> bool:
@@ -471,13 +473,3 @@ def weil_height(x: Fraction) -> float:
 def point_height(P: Sequence[Fraction]) -> float:
     pt = _check_point(P)
     return sum(weil_height(x) for x in pt)
-
-
-def root_of_unity_order(x: Fraction) -> Optional[int]:
-    """Order of x as a root of unity in Q: 1 for 1, 2 for -1, else None."""
-    if x == 1:
-        return 1
-    if x == -1:
-        return 2
-    return None
-

@@ -11,11 +11,11 @@ Grammar (semicolon-separated coordinates):
 Exponents are (possibly negative) integer literals, optionally
 parenthesized. Whitespace is insignificant.
 
-Budgets bound the work: literals have at most MAX_LITERAL_DIGITS digits;
-a power whose degree would exceed MAX_DEGREE or whose coefficients could
-exceed MAX_COEFF_BITS bits, and a sum, difference, product or quotient
-whose degree could exceed MAX_DEGREE, are refused before they are
-computed.
+Budgets bound the work: literals have at most MAX_LITERAL_DIGITS ASCII
+digits; parentheses and unary signs nest at most MAX_NESTING deep; a power
+whose degree would exceed MAX_DEGREE or whose coefficients could exceed
+MAX_COEFF_BITS bits, and a sum, difference, product or quotient whose
+degree could exceed MAX_DEGREE, are refused before they are computed.
 """
 from __future__ import annotations
 
@@ -28,6 +28,10 @@ from .exactcore import Poly, RatFunc
 MAX_LITERAL_DIGITS = 4300
 MAX_DEGREE = 256
 MAX_COEFF_BITS = 2048
+# Budget on open parentheses and unary signs around any point of an
+# expression: each level is a few frames of recursion.
+MAX_NESTING = 100
+_DIGITS = frozenset("0123456789")
 
 
 class _Tokenizer:
@@ -60,7 +64,7 @@ class _Tokenizer:
         if self.pos < len(self.text) and self.text[self.pos] in "+-":
             self.pos += 1
         digits = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
             self.pos += 1
         if self.pos == digits:
             raise ParseError("expected an integer", start)
@@ -72,6 +76,14 @@ class _Tokenizer:
 class _Parser:
     def __init__(self, text: str):
         self.tk = _Tokenizer(text)
+        self.depth = 0
+
+    def nest(self):
+        """Consume a '(' or a unary sign, one level deeper."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", self.tk.pos)
+        self.tk.next_char()
 
     def parse(self) -> RatFunc:
         value = self.expr()
@@ -104,8 +116,9 @@ class _Parser:
     def unary(self) -> RatFunc:
         c = self.tk.peek()
         if c and c in "+-":
-            self.tk.next_char()
+            self.nest()
             value = self.unary()
+            self.depth -= 1
             return -value if c == "-" else value
         return self.power()
 
@@ -132,14 +145,15 @@ class _Parser:
     def atom(self) -> RatFunc:
         c = self.tk.peek()
         if c == "(":
-            self.tk.next_char()
+            self.nest()
             value = self.expr()
             self.tk.expect(")")
+            self.depth -= 1
             return value
         if c == "t":
             self.tk.next_char()
             return RatFunc(Poly.variable())
-        if c.isdigit():
+        if c in _DIGITS:
             return RatFunc(Poly.constant(self.tk.integer()))
         raise ParseError(f"unexpected character {c!r}" if c else "unexpected end of input", self.tk.pos)
 

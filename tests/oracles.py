@@ -4,7 +4,10 @@ a two-point rational divisor without factoring instead of working from
 the divisor matrix, dependence_oracle multiplies out every small exponent
 vector instead of factoring the coordinates, scan_oracle evaluates
 every coordinate and builds the relation lattice at every parameter instead
-of testing rank from the place forms, private_survivors_oracle strips each
+of testing rank from the place forms, and classifies each record by
+multiplying out every character at the point and testing the product with
+root_of_unity_order instead of looking it up among the characters'
+closed-form fiber points, private_survivors_oracle strips each
 place value of the primes of all the others at every parameter instead of
 first certifying the degree-1 places from their resultants, relation_oracle
 factors every coordinate with sympy.factorint instead of testing rank over
@@ -72,7 +75,6 @@ from torusdep.multdep import (
     _check_point,
     point_height,
     relation_lattice,
-    root_of_unity_order,
 )
 
 
@@ -232,6 +234,15 @@ def dependence_oracle(P: Sequence[Fraction], B: int) -> List[Vector]:
 
     rec([])
     return sorted(hits)
+
+
+def root_of_unity_order(x: Fraction) -> Optional[int]:
+    """Order of x as a root of unity in Q: 1 for 1, 2 for -1, else None."""
+    if x == 1:
+        return 1
+    if x == -1:
+        return 2
+    return None
 
 
 def _scan_parameters(H: int):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction as F
 
 import pytest
 import sympy
@@ -120,6 +121,21 @@ def test_kernel_random_properties():
 def test_lattice_basis_rejects_dependent_vectors():
     with pytest.raises(DomainError, match="linearly dependent"):
         LatticeBasis(2, ((1, 2), (-2, -4)))
+
+
+def test_internal_bases_skip_the_rank_check(monkeypatch):
+    """kernel_basis and relation_lattice build bases independent by
+    construction without the cubic rank check; LatticeBasis called from
+    outside still runs it."""
+
+    def refuse(vectors):
+        raise AssertionError("rank check on a basis independent by construction")
+
+    monkeypatch.setattr(intlattice, "rank", refuse)
+    assert kernel_basis(IntMatrix([[1, 2, 3]])).vectors == ((2, -1, 0), (3, 0, -1))
+    assert relation_lattice((F(2), F(4), F(-8))).rank == 2
+    with pytest.raises(AssertionError, match="rank check"):
+        LatticeBasis(2, ((1, 0),))
 
 
 def test_lattice_basis_rejects_a_vector_of_the_wrong_length():

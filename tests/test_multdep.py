@@ -19,7 +19,6 @@ from torusdep.multdep import (
     is_primitively_dependent,
     point_height,
     relation_lattice,
-    root_of_unity_order,
     weil_height,
 )
 
@@ -45,8 +44,9 @@ def test_relation_lattice_examples():
 def test_dependent_relation_lattice_runs_one_hnf_and_builds_one_basis(monkeypatch):
     from torusdep import intlattice, multdep
 
-    calls = {"hnf": 0, "basis": 0}
+    calls = {"hnf": 0, "basis": 0, "checked": 0}
     hnf, post_init = intlattice.hnf, intlattice.LatticeBasis.__post_init__
+    independent = intlattice.LatticeBasis._independent
 
     def counted_hnf(M):
         calls["hnf"] += 1
@@ -54,13 +54,20 @@ def test_dependent_relation_lattice_runs_one_hnf_and_builds_one_basis(monkeypatc
 
     def counted_post_init(self):
         calls["basis"] += 1
+        calls["checked"] += 1
         post_init(self)
+
+    def counted_independent(ambient, vectors):
+        calls["basis"] += 1
+        return independent(ambient, vectors)
 
     monkeypatch.setattr(intlattice, "hnf", counted_hnf)
     monkeypatch.setattr(multdep, "hnf", counted_hnf)
     monkeypatch.setattr(intlattice.LatticeBasis, "__post_init__", counted_post_init)
+    monkeypatch.setattr(intlattice.LatticeBasis, "_independent", counted_independent)
     assert relation_lattice((F(-2), F(8), F(3, 4))).vectors == ((6, -2, 0),)
-    assert calls == {"hnf": 1, "basis": 1}
+    # one basis, built without the rank check: independent by construction
+    assert calls == {"hnf": 1, "basis": 1, "checked": 0}
 
 
 def test_is_dependent_examples():
@@ -177,12 +184,6 @@ def test_point_height():
     assert point_height((F(1), F(1))) == 0.0
     assert point_height((F(2), F(8))) == pytest.approx(4 * math.log(2))
     assert point_height((F(3, 4), F(5))) == pytest.approx(math.log(4) + math.log(5))
-
-
-def test_root_of_unity_order():
-    assert root_of_unity_order(F(1)) == 1
-    assert root_of_unity_order(F(-1)) == 2
-    assert root_of_unity_order(F(2)) is None
 
 
 def test_height_combination_is_finite_and_reproducible():

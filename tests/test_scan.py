@@ -9,7 +9,10 @@ every parameter, and the two must yield identical (p, q, values) streams,
 each survivor's flat spanning the rows of the oracle's private places, on
 curves with many places and past the table budget too. A survivor is then
 tested on the kernel of its flat, which must give the verdict of the n
-coordinates."""
+coordinates. Records are classified from each character's closed-form
+rational fiber points, which must be the rational roots of its order-2
+torsion fiber, and a closed-form point off the places that the sweep
+misses raises InvariantViolation."""
 import json
 import math
 import random
@@ -17,19 +20,22 @@ from fractions import Fraction as F
 
 import pytest
 
-from oracles import private_survivors_oracle, scan_oracle
+from oracles import private_survivors_oracle, root_of_unity_order, scan_oracle
+from test_fibers import BRANCH_CURVES
 from torusdep import explorer
 from torusdep.cli import main
-from torusdep.curvegeom import CurveData
+from torusdep.curvegeom import CurveData, phi_enumerate
 from torusdep.errors import InvariantViolation
 from torusdep.exactcore import Poly, RatFunc
 from torusdep.explorer import (
     AnalysisConfig,
     _place_forms,
     _private_survivors,
+    _rational_fiber_points,
     _sub_torus,
     parse_curve,
     scan_dependent,
+    torsion_fiber,
 )
 from torusdep.intlattice import LatticeBasis, rank
 from torusdep.multdep import independent_over_coprime_base, relation_lattice
@@ -199,6 +205,48 @@ def test_disagreement_raises(monkeypatch):
     monkeypatch.setattr(explorer, "relation_lattice", lambda point: LatticeBasis(len(point), ()))
     with pytest.raises(InvariantViolation):
         scan_dependent(parse_curve("(t-1)^2; t"), AnalysisConfig(scan_height_bound=5))
+
+
+def test_root_of_unity_order():
+    assert root_of_unity_order(F(1)) == 1
+    assert root_of_unity_order(F(-1)) == 2
+    assert root_of_unity_order(F(2)) is None
+
+
+def test_rational_fiber_points_are_the_rational_order_2_fiber():
+    """Off the places, each character's closed-form points are the roots of
+    the degree-1 factors of its order-2 torsion fiber, on every scan curve
+    and every power_fiber_oracle branch curve."""
+    more = (t for t, _H, _p in MORE_CURVES)
+    branches = (t for t, _N in BRANCH_CURVES)
+    seen = set()
+    for text in (*BENCH_CURVES, NO_INFINITY, QUADRATIC_PLACE, LOW_LINEAR_RANK, *more, *branches):
+        curve = parse_curve(text)
+        places = {p.rational_root() for p in curve.place_index if p.degree == 1 and not p.is_infinity}
+        for ch in phi_enumerate(curve):
+            points = _rational_fiber_points(ch)
+            assert len(set(points)) == len(points), (text, ch.a)
+            fiber = {-q.coeffs[0] for q in torsion_fiber(curve, ch.a, 2) if q.degree == 1}
+            assert set(points) - places == fiber, (text, ch.a)
+            kind = "Q = inf" if ch.Q.is_infinity else "P = inf" if ch.P.is_infinity else "finite"
+            seen |= {(kind, len(points)), ("at a place", bool(places & set(points)))}
+    assert seen >= {(k, n) for k in ("Q = inf", "P = inf", "finite") for n in (0, 2)} | {("finite", 1)}
+    assert ("at a place", True) in seen
+
+
+def test_a_missed_fiber_point_raises(monkeypatch, capsys):
+    real = explorer._private_survivors
+
+    def dropping(*args):
+        return (survivor for survivor in real(*args) if survivor[:2] != (2, 1))
+
+    curve, config = parse_curve("(t-1)^2; t"), AnalysisConfig(scan_height_bound=10)
+    assert F(2) in {r.parameter for r in scan_dependent(curve, config)}
+    monkeypatch.setattr(explorer, "_private_survivors", dropping)
+    with pytest.raises(InvariantViolation, match="fiber point t = 2 missed by the scan"):
+        scan_dependent(curve, config)
+    assert main(["analyze", "--curve", "(t-1)^2; t", "--torsion-order", "1", "--scan-height", "10"]) == 5
+    assert capsys.readouterr().err == "internal invariant violation: fiber point t = 2 missed by the scan\n"
 
 
 def _same_stream(curve, H):

@@ -28,6 +28,7 @@ from torusdep.parser import (
     MAX_COEFF_BITS,
     MAX_DEGREE,
     MAX_LITERAL_DIGITS,
+    MAX_NESTING,
     parse_coordinates,
     parse_expression,
 )
@@ -175,6 +176,27 @@ class TestExitCodes:
     def test_huge_power_exits_2(self, capsys):
         assert main(["check", "--curve", "t^99999999; t"]) == 2
         assert capsys.readouterr().err.startswith("parse error:")
+
+    def test_non_ascii_digits_exit_2(self, capsys):
+        """str.isdigit holds for superscripts and other scripts' digits;
+        only 0-9 are digits here."""
+        for curve in ("t^\u00b2; t", "\u00b2; t", "t+1; \u00b3t", "t+\u0663; t"):
+            assert main(["check", "--curve", curve]) == 2
+            assert capsys.readouterr().err.startswith("parse error:")
+
+    def test_deep_nesting_exits_2(self, capsys):
+        for curve in ("(" * 400 + "t" + ")" * 400 + "; t+1", "-" * 2000 + "t; t+1"):
+            assert main(["check", "--curve", curve]) == 2
+            err = capsys.readouterr().err
+            assert err == f"parse error: nesting deeper than {MAX_NESTING} levels (at position {MAX_NESTING})\n"
+
+    def test_primitive_on_1000_coordinates(self, capsys):
+        """Kernel and relation bases are independent by construction and
+        skip LatticeBasis's cubic rank check."""
+        start = time.perf_counter()
+        assert main(["primitive", "--point", ",".join(["2"] * 1000)]) == 0
+        assert time.perf_counter() - start < 20
+        assert json.loads(capsys.readouterr().out)["primitively_dependent"] is True
 
 
     def test_point_in_exponent_notation_exits_2(self, capsys):
@@ -340,6 +362,25 @@ def test_dense_curves_fit_the_fiber_budget(capsys):
     assert main(["analyze", "--curve", "(t+1)^60; t", "--scan-height", "5"]) == 0  # 60*46
     assert time.perf_counter() - start < 10
     assert main(["fiber", "--curve", "(t+1)^120; t", "--char", "1,-120", "--order", "12"]) == 0
+
+
+def test_nesting_budget():
+    """Parentheses and unary signs count alike, up to MAX_NESTING levels;
+    one more is refused at the character that opens it."""
+    t = parse_expression("t")
+    top = MAX_NESTING
+    assert parse_expression("(" * top + "t" + ")" * top) == t
+    assert parse_expression("(" * (top - 1) + "-t" + ")" * (top - 1)) == -t
+    assert parse_expression("- " * top + "3") == parse_expression("3" if top % 2 == 0 else "-3")
+    for text, position in (
+        ("(" * top + "-t" + ")" * top, top),
+        ("(" * (top + 1) + "t" + ")" * (top + 1), top),
+        ("- " * (top + 1) + "t", 2 * top),
+        (("-(" * top)[: top + 1] + "t", top),
+    ):
+        with pytest.raises(ParseError, match=f"nesting deeper than {top} levels") as exc:
+            parse_expression(text)
+        assert exc.value.position == position
 
 
 def test_expression_degree_budget():
