@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import re
 import sys
 from fractions import Fraction
@@ -22,7 +21,7 @@ from .errors import (
     ParseError,
     PreconditionError,
 )
-from .exactcore import render
+from .exactcore import render, render_json
 from .explorer import (
     AnalysisConfig,
     analyze,
@@ -77,7 +76,7 @@ def _parse_char(text: str):
 
 def _emit(payload, fmt: str):
     if fmt == "json":
-        print(json.dumps(payload, indent=2))
+        print(render_json(payload))
     else:
         print(payload)
 

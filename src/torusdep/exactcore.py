@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Iterable, List, Optional, Sequence
 
 from .errors import DomainError
@@ -21,6 +22,72 @@ def render(x) -> str:
         return str(x)
     except ValueError as exc:  # "Exceeds the limit (4300 digits) for integer string conversion; use ..."
         raise DomainError(f"output integer: {str(exc).partition(';')[0]}") from None
+
+
+def render_json(obj) -> str:
+    """json.dumps(obj, indent=2), byte for byte, for dicts with str keys,
+    lists, tuples, str, int, bool, None and float: the standard library
+    takes its pure-Python encoder whenever indent is set. The pieces go
+    into one list, joined once."""
+    pieces: List[str] = []
+    _put_json(obj, "\n", pieces.append)
+    return "".join(pieces)
+
+
+def _put_json(obj, nl: str, put) -> None:
+    """put the pieces of obj, written at the level whose line break and
+    indent is nl; a scalar item is written with its separator."""
+    scalar = _JSON_SCALARS.get(type(obj))
+    if scalar:
+        return put(scalar(obj))
+    inner = nl + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return put("{}")
+        sep = "{" + inner
+        for k, v in obj.items():
+            scalar = _JSON_SCALARS.get(type(v))
+            if scalar:
+                put(sep + _json_str(k) + ": " + scalar(v))
+            else:
+                put(sep + _json_str(k) + ": ")
+                _put_json(v, inner, put)
+            sep = "," + inner
+        return put(nl + "}")
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return put("[]")
+        sep = "[" + inner
+        for v in obj:
+            scalar = _JSON_SCALARS.get(type(v))
+            if scalar:
+                put(sep + scalar(v))
+            else:
+                put(sep)
+                _put_json(v, inner, put)
+            sep = "," + inner
+        return put(nl + "]")
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _json_float(x: float) -> str:
+    """json's text of a float: NaN, Infinity and -Infinity, else repr."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+_JSON_SCALARS = {
+    str: _json_str,
+    int: int.__repr__,
+    float: _json_float,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
 
 
 def _frac(x) -> Fraction:
@@ -180,7 +247,8 @@ class Poly:
 
     def __str__(self):
         """The rendering, from the top coefficient down (t^2 - 3/2*t + 1);
-        made on the first call and kept in the _str slot."""
+        made on the first call, from each coefficient's numerator and
+        denominator, and kept in the _str slot."""
         try:
             return self._str
         except AttributeError:
@@ -188,19 +256,19 @@ class Poly:
         parts = []
         for i in range(len(self.coeffs) - 1, -1, -1):
             c = self.coeffs[i]
-            if c == 0:
+            n, d = c.numerator, c.denominator
+            if not n:
                 continue
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            if i == 0:
-                body = str(mag)
+            mag = -n if n < 0 else n
+            if not i:
+                body = str(mag) if d == 1 else f"{mag}/{d}"
             else:
                 tpow = "t" if i == 1 else f"t^{i}"
-                body = tpow if mag == 1 else f"{mag}*{tpow}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
+                body = f"{mag}/{d}*{tpow}" if d != 1 else tpow if mag == 1 else f"{mag}*{tpow}"
+            if parts:
+                parts.append((" - " if n < 0 else " + ") + body)
             else:
-                parts.append(f" {sign} {body}")
+                parts.append("-" + body if n < 0 else body)
         text = "".join(parts) or "0"
         object.__setattr__(self, "_str", text)
         return text

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,15 +19,22 @@ from .curvegeom import (
     two_point_divisor,
 )
 from .errors import DomainError, InvariantViolation
-from .exactcore import Poly, cyclotomic_poly, factor_key, factor_poly, int_shift, nth_power_in_Q, render
+from .exactcore import Poly, cyclotomic_poly, factor_poly, int_shift, nth_power_in_Q, render, render_json
 from .intlattice import IntMatrix, kernel_basis, primitive_witness
 from .multdep import _primes_below, independent_over_coprime_base, point_height, relation_lattice
 from .parser import parse_coordinates
 
-# Budget on fiber degree: m*N in torsion_fiber, m*sum(phi(d), d <= N) in analyze.
+# Budget on fiber degree: m*N in torsion_fiber, m*sum(phi(d), d <= N) in
+# analyze. The slowest admitted case found, fiber --curve "(2*t+3)^256; 5*t"
+# --char 1,-256 --order 16 (m*N = 4096, 7.3 MB of output), took 2.8-3.1 s
+# as a whole call (fresh processes on a shared 2-vCPU VM).
 MAX_FIBER_DEGREE = 4096
 # Budget on the degree m*phi(d) of Phi_d(c * s**m) when c is not +-b**m and
-# factor_poly must factor it.
+# factor_poly must factor it. Its time follows the polynomial's structure,
+# not its degree: the slowest admitted case found, fiber --curve
+# "6*(t-1)^14; t" --char 1,0 --order 10, factors Phi_10(6*s**14) of degree
+# 56 and took 1.9 s as a whole call (as above), while Phi_4((3/2)*s**42),
+# of degree 84, took 58 s to factor.
 MAX_FALLBACK_DEGREE = 64
 # Budget on the scan height H: the scan sweeps about 2*H**2 parameters.
 # The slowest whole analyze call measured at H = 1000 took 2.0 s, on
@@ -77,7 +83,7 @@ def parse_curve(text: str) -> CurveData:
 
 
 def _cyclotomic_factors(
-    ch: NormalizedCharacter, ds: Sequence[int], places: Set[Tuple[Fraction, ...]]
+    ch: NormalizedCharacter, ds: Sequence[int], places: Set[Tuple[int, ...]]
 ) -> List[Tuple[int, Poly]]:
     """(d, q) for each d in ds and each minimal polynomial q of the t where
     the character ch is a primitive d-th root of unity and every coordinate
@@ -90,9 +96,11 @@ def _cyclotomic_factors(
     eps * zeta_d, each as the integer coefficients of v**k * Phi_e(b*s);
     otherwise the factor_poly factors with their denominators cleared, or
     DomainError when the degree m*phi(d) exceeds MAX_FALLBACK_DEGREE. Each
-    h goes through _map_back once. A constant image is the root t = inf
-    and is dropped; the others are kept iff their coefficients are not
-    those of a finite place of the curve, in places.
+    h goes through _map_back once, to a primitive integer image. An image
+    of degree 0 is the root t = inf and is dropped, and so is one equal to
+    the form of a finite place of the curve, in places
+    (_finite_place_forms). The rest are put in order as integers
+    (_sort_images), and only then is each made one monic Poly.
     """
     m, c = ch.m, ch.c
     b = nth_power_in_Q(abs(c), m)
@@ -118,19 +126,36 @@ def _cyclotomic_factors(
                     k = len(phi) - 1
                     hs.append([x.numerator * u ** j * v ** (k - j) for j, x in enumerate(phi)])
         images = (_map_back(h, ch) for h in hs)
-        tagged += [(d, q) for q in images if q.degree > 0 and q.coeffs not in places]
-    tagged.sort(key=lambda dq: factor_key(dq[1]))
-    return tagged
+        tagged += [(d, image) for image in images if len(image) > 1 and image not in places]
+    _sort_images(tagged)
+    return [(d, Poly([Fraction(x, image[-1]) for x in image])) for d, image in tagged]
 
 
-def _map_back(h: List[int], ch: NormalizedCharacter) -> Poly:
-    """The monic L_Q**k * h(L_P/L_Q), for h of degree k given by its
-    integer coefficients (L_X = t - x, L_inf = 1). With w = t - q, L_P/L_Q
-    is 1 + delta/w (delta = q - p) or 1/w (P = inf), so the image is
-    sum g_j delta**j w**(k - j), g = h(1 + s) or h, in t - q. Every step
-    stays in integers, up to a nonzero constant factor (int_shift's
-    denominator power, delta's denominator**k) that the final division by
-    the leading coefficient removes."""
+def _sort_images(tagged: List[Tuple[int, Tuple[int, ...]]]) -> None:
+    """Sort (d, image) pairs in place into the factor_key order of the
+    monic image / image[-1], each image primitive with a positive leading
+    coefficient: by degree, then by the coefficients from the top, each
+    times lcm(leading coefficients) // image[-1]. That common positive
+    scale keeps the order of the monic coefficients, in integers."""
+    L = math.lcm(*(image[-1] for _d, image in tagged))
+
+    def key(item):
+        image = item[1]
+        scale = L // image[-1]
+        return len(image), [x * scale for x in reversed(image)]
+
+    tagged.sort(key=key)
+
+
+def _map_back(h: List[int], ch: NormalizedCharacter) -> Tuple[int, ...]:
+    """L_Q**k * h(L_P/L_Q), for h of degree k given by its integer
+    coefficients (L_X = t - x, L_inf = 1), as its primitive integer
+    coefficients with a positive leading one, constant term first. With
+    w = t - q, L_P/L_Q is 1 + delta/w (delta = q - p) or 1/w (P = inf), so
+    the image is sum g_j delta**j w**(k - j), g = h(1 + s) or h, in t - q.
+    Every step stays in integers, up to a nonzero constant factor
+    (int_shift's denominator power, delta's denominator**k) that the final
+    division by the signed content removes."""
     if ch.Q.is_infinity:
         image = int_shift(h, -ch.P.rational_root())
     else:
@@ -144,7 +169,12 @@ def _map_back(h: List[int], ch: NormalizedCharacter) -> Poly:
         while not w[-1]:  # a zero g_0 lowers the degree: that root of h is t = inf
             w.pop()
         image = int_shift(w, -q)
-    return Poly([Fraction(x, image[-1]) for x in image])
+    content = math.gcd(*image)
+    if image[-1] < 0:
+        content = -content
+    # from a list: tuple() of a generator grows the tuple by resizing, which
+    # read about 0.5 MB more peak RSS over 100 analyze passes
+    return tuple([x // content for x in image])
 
 
 def _rational_fiber_points(ch: NormalizedCharacter) -> List[Fraction]:
@@ -189,8 +219,8 @@ def torsion_fiber(curve: CurveData, a: Sequence[int], N: int) -> Tuple[Poly, ...
 
     The restriction is c * s**m in s = L_P/L_Q, and the fiber is the
     _cyclotomic_factors of the divisors d of N, of total degree at most
-    m*N, in factor_poly order; each factor is built in integers and mapped
-    back once. analyze assembles every order of a +-a pair from one such
+    m*N, in factor_poly order; each factor is built, mapped back, filtered
+    and put in order in integers, and made a Poly once kept. analyze assembles every order of a +-a pair from one such
     sorted list, over d <= its bound, and shares the tuples between a and
     -a. Raises what CurveData.require_proper raises, and DomainError when
     m*N exceeds MAX_FIBER_DEGREE, checked before c is built, or a
@@ -201,8 +231,7 @@ def torsion_fiber(curve: CurveData, a: Sequence[int], N: int) -> Tuple[Poly, ...
         raise DomainError("torsion order must be positive")
     _require_fiber_budget(two_point_divisor(curve, a)[2], N)  # validates the character
     divisors = [d for d in range(1, N + 1) if N % d == 0]
-    places = {place.poly.coeffs for place in curve.place_index if not place.is_infinity}
-    tagged = _cyclotomic_factors(normalize_character(curve, a), divisors, places)
+    tagged = _cyclotomic_factors(normalize_character(curve, a), divisors, _finite_place_forms(curve))
     return tuple(q for _d, q in tagged)
 
 
@@ -231,6 +260,13 @@ def _place_forms(curve: CurveData) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[F
             c /= Fraction(lcm) ** row[i]
         consts.append(c)
     return tuple(forms), tuple(consts)
+
+
+def _finite_place_forms(curve: CurveData) -> Set[Tuple[int, ...]]:
+    """The forms F_P of the finite places: each place's primitive integer
+    coefficients with a positive leading one, the form of _map_back."""
+    forms = _place_forms(curve)[0]
+    return {f for place, f in zip(curve.place_index, forms) if not place.is_infinity}
 
 
 def _private_survivors(
@@ -570,7 +606,7 @@ class Report:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return render_json(self.to_dict())
 
     def to_text(self) -> str:
         d = self.to_dict()
@@ -610,7 +646,7 @@ def analyze(curve_text: str, config: AnalysisConfig = AnalysisConfig()) -> Repor
     if m:
         _require_fiber_budget(m, bound)  # sum(phi(d)) >= bound: keeps the sieve small
         _require_fiber_budget(m, _totient_sum(bound))
-    places = {place.poly.coeffs for place in curve.place_index if not place.is_infinity}
+    places = _finite_place_forms(curve)
     ordered: Dict[Character, List[Tuple[Poly, ...]]] = {}
     fibers = []
     for ch in phi:

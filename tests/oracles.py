@@ -20,13 +20,17 @@ divisor matrix and c from leading coefficients. compose substitutes one
 rational function into another in sympy.Poly alone, so no oracle composes
 with the library's own arithmetic. power_fiber_oracle factors the numerator
 of phi**N - 1 instead of mapping cyclotomic factors of the normal form back
-through the Moebius change, order_fibers_oracle assembles each order's
+through the Moebius change, and cyclotomic_fibers_oracle gives the same
+fibers at every order up to a bound from the factored numerators of the
+Phi_d(phi), each factored once, order_fibers_oracle assembles each order's
 fiber from separate per-divisor factor lists, each d's built and filtered
 against Place objects on its own, and sorts every order afresh instead of
 sorting a +-a pair's d-tagged factors once, map_back_oracle maps a factor back
 through the Moebius change by its own Horner composition over Fractions
 instead of int_shift on integer coefficient lists, cyclotomic_poly_oracle divides t**n - 1 by
-every Phi_d instead of building Phi_n from its radical, and
+every Phi_d instead of building Phi_n from its radical, poly_str_oracle
+renders a polynomial by comparing Fractions instead of reading each
+coefficient's numerator and denominator, and
 decompose_oracle solves each coordinate's exponent row with
 express_in_basis (its own HNF and transform) over the sympy-factored prime
 matrix instead of back-substituting against decompose's HNF.
@@ -620,6 +624,31 @@ def power_fiber_oracle(curve: CurveData, a: Sequence[int], N: int) -> List[Poly]
     ]
 
 
+def cyclotomic_fibers_oracle(curve: CurveData, a: Sequence[int], top: int) -> List[List[Poly]]:
+    """power_fiber_oracle at every order 1 to top, factoring once per d:
+    phi**N - 1 = prod_{d | N} Phi_d(phi), and for phi = A/B in lowest
+    terms and Phi_d = sum_j c_j t**j (sympy.cyclotomic_poly) the numerator
+    of Phi_d(phi) is sum_j c_j A**j B**(k - j), coprime to B. Their product
+    over d | N is A**N - B**N, the numerator of phi**N - 1, so the order-N
+    fiber is the factors of the d | N that pass the same coordinate
+    filter, sorted by factor_key."""
+    phi = character_restrict(curve, a)
+    t = sympy.Symbol("t")
+    by_divisor = []
+    for d in range(1, top + 1):
+        cs = [int(c) for c in reversed(sympy.Poly(sympy.cyclotomic_poly(d, t), t).all_coeffs())]
+        k = len(cs) - 1
+        num = sum((c * phi.num ** j * phi.den ** (k - j) for j, c in enumerate(cs) if c), Poly())
+        by_divisor.append(
+            [q for q, _mult in factor_poly(num)[1]
+             if not any(q.divides(f.num) or q.divides(f.den) for f in curve.coords)]
+        )
+    return [
+        sorted((q for d, qs in enumerate(by_divisor, 1) if N % d == 0 for q in qs), key=factor_key)
+        for N in range(1, top + 1)
+    ]
+
+
 def _divisor_factors(curve: CurveData, ch: NormalizedCharacter, d: int) -> List[Poly]:
     """The monic images under _map_back of the irreducible factors of
     Phi_d(c * s**m), c * s**m the normal form of ch, that are neither the
@@ -650,7 +679,7 @@ def _divisor_factors(curve: CurveData, ch: NormalizedCharacter, d: int) -> List[
                 k = len(phi) - 1
                 hs.append([x.numerator * u ** j * v ** (k - j) for j, x in enumerate(phi)])
     places = set(curve.place_index)
-    images = [_map_back(h, ch) for h in hs]
+    images = [Poly(_map_back(h, ch)).monic() for h in hs]
     return [q for q in images if q.degree > 0 and Place.finite(q) not in places]
 
 
@@ -684,6 +713,29 @@ def map_back_oracle(h: Poly, ch: NormalizedCharacter) -> Poly:
     q = ch.Q.rational_root()
     g, delta = (h, 1) if ch.P.is_infinity else (_shifted(h, Fraction(1)), q - ch.P.rational_root())
     return _shifted(Poly(reversed([x * delta ** j for j, x in enumerate(g.coeffs)])), -q)
+
+
+def poly_str_oracle(p: Poly) -> str:
+    """Poly's rendering, from the top coefficient down, by Fraction
+    comparisons, abs and str of each coefficient instead of reading its
+    numerator and denominator."""
+    parts = []
+    for i in range(len(p.coeffs) - 1, -1, -1):
+        c = p.coeffs[i]
+        if c == 0:
+            continue
+        sign = "-" if c < 0 else "+"
+        mag = abs(c)
+        if i == 0:
+            body = str(mag)
+        else:
+            tpow = "t" if i == 1 else f"t^{i}"
+            body = tpow if mag == 1 else f"{mag}*{tpow}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f" {sign} {body}")
+    return "".join(parts) or "0"
 
 
 def cyclotomic_poly_oracle(n: int) -> Poly:

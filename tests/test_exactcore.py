@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import time
@@ -5,7 +6,9 @@ from fractions import Fraction as F
 
 import pytest
 import sympy
-from oracles import cyclotomic_poly_oracle, expand_factors, monomial_product
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import cyclotomic_poly_oracle, expand_factors, monomial_product, poly_str_oracle
 
 from torusdep.errors import DomainError
 from torusdep.exactcore import (
@@ -17,6 +20,7 @@ from torusdep.exactcore import (
     int_shift,
     nth_power_in_Q,
     poly_gcd,
+    render_json,
 )
 from torusdep.parser import parse_expression
 
@@ -313,3 +317,45 @@ def test_pow_makes_no_unused_square(x, monkeypatch):
         x ** e
         # bit_length - 1 squares and at most bit_length products into the result
         assert len(products) <= 2 * e.bit_length() - 1
+
+
+def test_str_matches_poly_str_oracle():
+    """Seeded polynomials with gaps, +-1, fractional and negative
+    coefficients, and the zero and constant polynomials."""
+    rng = random.Random(25)
+    polys = [Poly(), Poly([0]), Poly([1]), Poly([-1]), Poly([F(-3, 4)]), Poly([0, 1]), Poly([0, -1])]
+    for _ in range(400):
+        choices = (0, 0, 1, -1, F(1, 2), F(-7, 3), 5, -12, F(10 ** 30 + 1, 3))
+        polys.append(Poly([rng.choice(choices) for _ in range(rng.randint(1, 8))]))
+    for p in polys:
+        assert str(p) == poly_str_oracle(p), p.coeffs
+
+
+_JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([0, -1, True, 10 ** 3999 + 7, -(10 ** 3999) - 3]),  # 4000 digits
+    st.floats(),
+    st.sampled_from([-0.0, 1e-300, math.nan, math.inf, -math.inf]),
+    st.text(max_size=12),
+    st.sampled_from(['"', "\\", 'a"b\\c', "\x00\x1f\n\t\x7f", "é€😀", "\ud800"]),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=6), kids, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+@example([])
+@example({})
+@example({"a": [], "b": {}, "c": [[], {}, [[]]]})
+def test_render_json_matches_json_dumps(obj):
+    assert render_json(obj) == json.dumps(obj, indent=2)

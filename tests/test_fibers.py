@@ -1,5 +1,7 @@
-"""Torsion fibers against power_fiber_oracle, which factors the numerator
-of phi**N - 1 directly: on the curves of the analyze benchmark, and on
+"""Torsion fibers against cyclotomic_fibers_oracle, which factors the
+numerator of each Phi_d(phi) once, and at the low orders against
+power_fiber_oracle, which factors the numerator of phi**N - 1 directly:
+on the curves of the analyze benchmark, and on
 curves that reach every branch of the normal-form route. analyze's fiber
 table against order_fibers_oracle, which assembles and sorts every order
 on its own, and against torsion_fiber. The integer map-back against
@@ -12,12 +14,18 @@ import time
 from fractions import Fraction as F
 
 import pytest
-from oracles import character_restrict, map_back_oracle, order_fibers_oracle, power_fiber_oracle
+from oracles import (
+    character_restrict,
+    cyclotomic_fibers_oracle,
+    map_back_oracle,
+    order_fibers_oracle,
+    power_fiber_oracle,
+)
 
 from torusdep import explorer
 from torusdep.curvegeom import NormalizedCharacter, Place, phi_enumerate
 from torusdep.errors import DomainError, PreconditionError
-from torusdep.exactcore import Poly, cyclotomic_poly, factor_poly, nth_power_in_Q
+from torusdep.exactcore import Poly, cyclotomic_poly, factor_key, factor_poly, nth_power_in_Q
 from torusdep.explorer import AnalysisConfig, analyze, parse_curve, torsion_fiber
 
 CURVES = (
@@ -27,6 +35,9 @@ CURVES = (
     "t*(t+1); (t-2)/(t+3); t-5",
 )
 ORDERS = range(1, 13)
+# power_fiber_oracle factors phi**N - 1 itself up to this order on each
+# curve, a check of the identity cyclotomic_fibers_oracle rests on
+DIRECT_TOP = 6
 
 # (curve, highest order N). Between them the characters have c = b**m with
 # b != 1, c = -b**m with m even and with m odd, c not +-b**m (the factor_poly
@@ -40,7 +51,7 @@ BRANCH_CURVES = (
     ("3*t^2/(t-1)^2; t+1", 24),
     ("7*t/(t-1); t+1", 24),
     ("(t+1)^2/(t+2)^2; t", 24),
-    # the oracle factors a numerator of degree 12*N: 25 s at N = 18
+    # the direct oracle factors a numerator of degree 12*N: 25 s at N = 18
     ("(t+1)^12/(t+2)^12; t", 6),
 )
 
@@ -60,8 +71,12 @@ def fibers(request):
 def test_fibers_match_power_oracle(fibers):
     text, table = fibers
     curve = parse_curve(text)
-    for (a, N), polys in table.items():
-        assert polys == power_fiber_oracle(curve, a, N), (a, N)
+    for a in {a for a, _N in table}:
+        expected = cyclotomic_fibers_oracle(curve, a, max(ORDERS))
+        for N in ORDERS:
+            assert table[a, N] == expected[N - 1], (a, N)
+            if N <= DIRECT_TOP:
+                assert power_fiber_oracle(curve, a, N) == expected[N - 1], (a, N)
 
 
 def test_opposite_characters_share_fibers(fibers):
@@ -86,8 +101,10 @@ def test_every_branch_matches_power_oracle(text, top):
     for ch in phi_enumerate(curve):
         if ch.a < tuple(-x for x in ch.a):
             continue
-        for N in range(1, top + 1):
-            expected = power_fiber_oracle(curve, ch.a, N)
+        fibers = cyclotomic_fibers_oracle(curve, ch.a, top)
+        for N, expected in enumerate(fibers, 1):
+            if N <= DIRECT_TOP:
+                assert power_fiber_oracle(curve, ch.a, N) == expected, N
             for a in (ch.a, tuple(-x for x in ch.a)):
                 got = list(torsion_fiber(curve, a, N))
                 assert got == expected, (a, N)
@@ -141,6 +158,13 @@ def _random_places(rng):
     return NormalizedCharacter(a=(1, -1), P=P, Q=Q, m=1, c=F(1), realizable_cyclotomic=False)
 
 
+def _monic(image):
+    """The monic Poly of a _map_back image, which must be primitive with a
+    positive leading coefficient."""
+    assert image[-1] > 0 and math.gcd(*image) == 1, image
+    return Poly(image).monic()
+
+
 def test_map_back_matches_oracle_on_cyclotomic_factors():
     """h = v**k * Phi_e(b*s), b = u/v, against the oracle on Phi_e(b*s)."""
     rng = random.Random(15)
@@ -153,7 +177,7 @@ def test_map_back_matches_oracle_on_cyclotomic_factors():
         k = len(phi) - 1
         h = [x.numerator * u ** j * v ** (k - j) for j, x in enumerate(phi)]
         expected = map_back_oracle(Poly([x * b ** j for j, x in enumerate(phi)]), ch).monic()
-        assert explorer._map_back(h, ch) == expected, (e, b, ch.P, ch.Q)
+        assert _monic(explorer._map_back(h, ch)) == expected, (e, b, ch.P, ch.Q)
 
 
 def test_map_back_matches_oracle_on_rational_factors():
@@ -170,8 +194,24 @@ def test_map_back_matches_oracle_on_rational_factors():
             D = math.lcm(*(x.denominator for x in h.coeffs))
             scale = rng.choice([-1, 1]) * rng.randint(1, 5)
             ints = [x.numerator * (D // x.denominator) * scale for x in h.coeffs]
-            assert explorer._map_back(ints, ch) == map_back_oracle(h, ch).monic(), (h, ch.P, ch.Q)
+            assert _monic(explorer._map_back(ints, ch)) == map_back_oracle(h, ch).monic(), (h, ch.P, ch.Q)
             checked += 1
+
+
+def test_sort_images_matches_factor_key():
+    """Seeded lists of distinct primitive images whose leading coefficients
+    differ, in _sort_images' integer order and in factor_key's order of
+    their monic polynomials."""
+    rng = random.Random(25)
+    for _ in range(200):
+        images = set()
+        for _ in range(rng.randint(1, 12)):
+            image = [rng.randint(-20, 20) for _ in range(rng.randint(1, 4))] + [rng.randint(1, 12)]
+            images.add(tuple(x // math.gcd(*image) for x in image))
+        tagged = [(rng.randint(1, 12), image) for image in images]
+        expected = sorted(tagged, key=lambda dh: factor_key(Poly(dh[1]).monic()))
+        explorer._sort_images(tagged)
+        assert tagged == expected
 
 
 def test_analyze_reuses_one_fiber_per_pair_and_order():
