@@ -18,7 +18,7 @@ from .errors import (
     InvariantViolation,
 )
 from .exactcore import Poly, RatFunc, factor_poly, nth_power_in_Q, render
-from .intlattice import IntMatrix, content, kernel_basis
+from .intlattice import IntMatrix, content, hnf, kernel_basis
 
 Character = Tuple[int, ...]
 
@@ -125,6 +125,39 @@ class CurveData:
         """A constant-monomial witness, or None under the standing hypothesis."""
         return check_assumption(self)
 
+    @cached_property
+    def forms(self) -> Tuple[Tuple[int, ...], ...]:
+        """Each place's integer binary form F_P, constant term first: L_P
+        times a finite place's monic polynomial, L_P the lcm of its
+        denominators, so F_P(p, q) = L_P * q**deg(P) * P(p/q) is primitive
+        with leading coefficient L_P; F(p, q) = q at infinity."""
+        forms = []
+        for place in self.place_index:
+            coeffs = (Fraction(1), Fraction(0)) if place.is_infinity else place.poly.coeffs
+            lcm = math.lcm(*(c.denominator for c in coeffs))
+            forms.append(tuple(c.numerator * (lcm // c.denominator) for c in coeffs))
+        return tuple(forms)
+
+    @cached_property
+    def consts(self) -> Tuple[Fraction, ...]:
+        """The c_i = lc(num_i)/lc(den_i) * prod_P L_P**(-D[P, i]), L_P the
+        leading coefficient of a finite F_P and 1 at infinity, so that exactly
+        x_i(p/q) = c_i * prod_P F_P(p, q)**D[P, i] over every row of the
+        divisor matrix D, the infinity row included."""
+        scales = [1 if place.is_infinity else f[-1] for place, f in zip(self.place_index, self.forms)]
+        consts = []
+        for i, f in enumerate(self.coords):
+            c = f.num.leading / f.den.leading
+            for lcm, row in zip(scales, self.divisor_matrix.entries):
+                c /= Fraction(lcm) ** row[i]
+            consts.append(c)
+        return tuple(consts)
+
+    @cached_property
+    def characters(self) -> Tuple["NormalizedCharacter", ...]:
+        """The character set, phi_enumerate's, enumerated once per curve."""
+        return tuple(phi_enumerate(self))
+
     def require_proper(self) -> "CurveData":
         """This curve, if proper and under the standing hypothesis; otherwise
         ImproperParametrization, which takes precedence, or AssumptionViolation."""
@@ -200,7 +233,8 @@ def check_assumption(curve: CurveData) -> Optional[Character]:
         return None
     # a sign-normalized row of a unimodular transform: content 1
     v = kernel.vectors[0]
-    assert content(v) == 1
+    if content(v) != 1:
+        raise InvariantViolation("saturated kernel produced an imprimitive vector")
     return v
 
 
@@ -252,44 +286,43 @@ def normalize_character(curve: CurveData, a: Sequence[int]) -> NormalizedCharact
 
 
 def phi_enumerate(curve: CurveData) -> List[NormalizedCharacter]:
-    """All primitive characters whose divisor on the curve is supported on
-    exactly two places, both necessarily rational, normalized and sorted.
+    """All primitive characters whose divisor on the curve is m(P) - m(Q)
+    for two rational places P and Q, normalized and sorted.
 
-    Candidate place pairs are drawn from the degree-1 places in the union
-    of the coordinate-divisor supports; for each pair the kernel of the
-    divisor matrix with those two rows deleted has rank at most 1 under
-    the standing hypothesis, and a rank-1 kernel yields one +- pair, whose
-    divisor D·a is supported on exactly the two places: it has degree 0
-    and, by the hypothesis, is not zero.
-    Raises what CurveData.require_proper raises.
+    One row-style HNF H = U·D of the divisor matrix answers every pair of
+    places (Cohen, GTM 138, section 2.4). D has rank n under the standing
+    hypothesis, so the top n rows H_top of H are upper triangular, and the
+    rows Y of U opposite H's zero rows span {y : y·D = 0}. A degree-0
+    divisor on degree-1 places P and Q is a multiple of e_P - e_Q, and is
+    some D·a over Q iff Y·e_P = Y·e_Q. So each pair of degree-1 places with
+    equal columns of Y carries one +- pair, the primitive integer multiple
+    of H_top^-1·U_top·(e_P - e_Q), by back-substitution, and each is checked
+    exactly: D·a = m(e_P - e_Q) with m != 0, or InvariantViolation. Raises
+    what CurveData.require_proper raises.
     """
     curve.require_proper()
-    places = curve.place_index
-    rational = [i for i, p in enumerate(places) if p.degree == 1]
-    found: Dict[Character, None] = {}
-    for ii in range(len(rational)):
-        for jj in range(ii + 1, len(rational)):
-            keep = [
-                r
-                for r in range(len(places))
-                if r != rational[ii] and r != rational[jj]
-            ]
-            if not keep:
-                raise InvariantViolation(
-                    "divisor matrix with two places contradicts the hypothesis"
-                )
-            sub = IntMatrix([curve.divisor_matrix.row(r) for r in keep])
-            kernel = kernel_basis(sub)
-            if kernel.rank == 0:
-                continue
-            if kernel.rank >= 2:
-                raise InvariantViolation(
-                    "place pair admits a rank-2 character space"
-                )
-            a = kernel.vectors[0]
-            if content(a) != 1:
-                raise InvariantViolation("saturated kernel produced an imprimitive vector")
-            found.setdefault(a, None)
-            found.setdefault(tuple(-x for x in a), None)
+    n, D = curve.n, curve.divisor_matrix
+    h, u = hnf(D)
+    top, kernel = h.entries[:n], u.entries[n:]
+    groups: Dict[Tuple[int, ...], List[int]] = {}
+    for k, place in enumerate(curve.place_index):
+        if place.degree == 1:
+            groups.setdefault(tuple(y[k] for y in kernel), []).append(k)
+    det = math.prod(top[i][i] for i in range(n))
+    G: List[List[int]] = [[]] * n  # det * H_top^-1·U_top: integral, so each // is exact
+    for i in reversed(range(n)):
+        G[i] = [(det * x - sum(top[i][j] * G[j][k] for j in range(i + 1, n))) // top[i][i]
+                for k, x in enumerate(u.entries[i])]
+    found = []
+    for group in groups.values():
+        for i, P in enumerate(group):
+            for Q in group[i + 1:]:
+                a = [g[P] - g[Q] for g in G]
+                g = content(a) or 1
+                a = tuple(x // g for x in a)
+                image = D.mul_vec(a)
+                m = image[P]
+                if not m or image != tuple(m * ((k == P) - (k == Q)) for k in range(D.rows)):
+                    raise InvariantViolation(f"character {list(a)} is not supported on two places")
+                found += [a, tuple(-x for x in a)]
     return [normalize_character(curve, a) for a in sorted(found)]
-

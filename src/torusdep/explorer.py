@@ -8,14 +8,13 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .curvegeom import (
     Character,
     CurveData,
     NormalizedCharacter,
     normalize_character,
-    phi_enumerate,
     two_point_divisor,
 )
 from .errors import DomainError, InvariantViolation
@@ -44,7 +43,12 @@ MAX_FALLBACK_DEGREE = 64
 # shared 2-vCPU VM). Those tests grow as H**2 (13 s at H = 3000), so
 # 10**4 is not admitted.
 MAX_SCAN_HEIGHT = 1000
-# Budget on the bits of one degree-1 place's sieve table, 2*V + 1.
+# Budget on the bits of one degree-1 place's sieve table, 2*V + 1. The
+# largest admitted, 4194001 bits for t - 2096 at H = 1000, took 0.11-0.15 s
+# to build. A whole analyze --curve "(t-2096)/(t+1); t" --scan-height 1000
+# took 0.56 s, and one on "(t-2096)*(t+2096)*(2*t-2095)*(2*t+2095)/
+# ((3*t-2093)*(3*t+2093)); t", which builds three such tables, 0.85 s
+# (medians of 5 fresh processes, as above).
 MAX_SIEVE_TABLE_BITS = 1 << 22
 
 
@@ -83,7 +87,7 @@ def parse_curve(text: str) -> CurveData:
 
 
 def _cyclotomic_factors(
-    ch: NormalizedCharacter, ds: Sequence[int], places: Set[Tuple[int, ...]]
+    curve: CurveData, ch: NormalizedCharacter, ds: Sequence[int]
 ) -> List[Tuple[int, Poly]]:
     """(d, q) for each d in ds and each minimal polynomial q of the t where
     the character ch is a primitive d-th root of unity and every coordinate
@@ -98,12 +102,13 @@ def _cyclotomic_factors(
     DomainError when the degree m*phi(d) exceeds MAX_FALLBACK_DEGREE. Each
     h goes through _map_back once, to a primitive integer image. An image
     of degree 0 is the root t = inf and is dropped, and so is one equal to
-    the form of a finite place of the curve, in places
-    (_finite_place_forms). The rest are put in order as integers
+    the form of a place of the curve (curve.forms, the form of _map_back
+    at a finite place). The rest are put in order as integers
     (_sort_images), and only then is each made one monic Poly.
     """
     m, c = ch.m, ch.c
     b = nth_power_in_Q(abs(c), m)
+    places = set(curve.forms)
     tagged = []
     for d in ds:
         hs = []
@@ -231,52 +236,19 @@ def torsion_fiber(curve: CurveData, a: Sequence[int], N: int) -> Tuple[Poly, ...
         raise DomainError("torsion order must be positive")
     _require_fiber_budget(two_point_divisor(curve, a)[2], N)  # validates the character
     divisors = [d for d in range(1, N + 1) if N % d == 0]
-    tagged = _cyclotomic_factors(normalize_character(curve, a), divisors, _finite_place_forms(curve))
+    tagged = _cyclotomic_factors(curve, normalize_character(curve, a), divisors)
     return tuple(q for _d, q in tagged)
 
 
-def _place_forms(curve: CurveData) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[Fraction, ...]]:
-    """Integer binary forms of the places and the coordinate constants.
-
-    For a finite place P with L_P the lcm of its coefficients' denominators,
-    F_P(p, q) = L_P * q**deg(P) * P(p/q); at infinity F(p, q) = q. Each form
-    is returned as its integer coefficients, constant term first (infinity
-    is the constant 1 homogenized to degree 1). With
-    c_i = lc(num_i)/lc(den_i) * prod_P L_P**(-D[P, i]), exactly
-    x_i(p/q) = c_i * prod_P F_P(p, q)**D[P, i] over every row of the divisor
-    matrix D, the infinity row included.
-    """
-    forms = []
-    scales = []
-    for place in curve.place_index:
-        coeffs = (Fraction(1), Fraction(0)) if place.is_infinity else place.poly.coeffs
-        lcm = math.lcm(*(c.denominator for c in coeffs))
-        forms.append(tuple(int(c * lcm) for c in coeffs))
-        scales.append(lcm)
-    consts = []
-    for i, f in enumerate(curve.coords):
-        c = f.num.leading / f.den.leading
-        for lcm, row in zip(scales, curve.divisor_matrix.entries):
-            c /= Fraction(lcm) ** row[i]
-        consts.append(c)
-    return tuple(forms), tuple(consts)
-
-
-def _finite_place_forms(curve: CurveData) -> Set[Tuple[int, ...]]:
-    """The forms F_P of the finite places: each place's primitive integer
-    coefficients with a positive leading one, the form of _map_back."""
-    forms = _place_forms(curve)[0]
-    return {f for place, f in zip(curve.place_index, forms) if not place.is_infinity}
-
-
 def _private_survivors(
-    curve: CurveData, forms: Sequence[Tuple[int, ...]], consts: Sequence[Fraction], H: int
+    curve: CurveData, H: int
 ) -> Iterator[Tuple[int, int, List[int], Tuple[Tuple[int, ...], ...]]]:
     """The coprime (p, q) with max(|p|, q) <= H and no finite F_P(p, q) = 0
     that the private-part filter keeps, each with its values
-    v_P = |F_P(p, q)| (forms and consts from _place_forms) and its flat:
-    the canonical basis (_reduced_rows) of the span of the rows of D of
-    the places with r_P > 1, () when there are none.
+    v_P = |F_P(p, q)| (F_P and c_i from curve.forms and curve.consts, built
+    once per curve) and its flat: the canonical basis (_reduced_rows) of
+    the span of the rows of D of the places with r_P > 1, () when there are
+    none.
 
     The private part r_P of v_P is v_P without the primes of
     C * prod_{Q != P} v_Q, C = prod_i |num c_i| * den c_i. A prime l of r_P
@@ -305,8 +277,8 @@ def _private_survivors(
     the row ends once nothing in it is live. Survivors come out in
     (q, p) order.
     """
-    rows = curve.divisor_matrix.entries
-    C = math.prod(abs(c.numerator) * c.denominator for c in consts)
+    rows, forms = curve.divisor_matrix.entries, curve.forms
+    C = math.prod(abs(c.numerator) * c.denominator for c in curve.consts)
     linear, infinity = [], []  # (k, a0, a1, R_P) per finite degree-1 place, and at infinity
     for k, (place, f) in enumerate(zip(curve.place_index, forms)):
         if len(f) == 2:  # every other F_Q at its root (-f[0] : f[1])
@@ -483,11 +455,7 @@ def _sub_torus(
     return monomials
 
 
-def scan_dependent(
-    curve: CurveData,
-    config: AnalysisConfig,
-    characters: Optional[Sequence[NormalizedCharacter]] = None,
-) -> List[ScanRecord]:
+def scan_dependent(curve: CurveData, config: AnalysisConfig) -> List[ScanRecord]:
     """Scan rational parameters t0 = p/q with max(|p|, q) <= H for dependent
     points, classifying each as a torsion-fiber point of an enumerated
     character or as exceptional. Deterministic: sorted by (height,
@@ -496,8 +464,9 @@ def scan_dependent(
     Each parameter is tested from the divisor matrix D, never by evaluating
     the coordinates and never by factoring:
     x_i(p/q) = c_i * prod_P F_P(p, q)**D[P, i] with the integer place forms
-    F_P of _place_forms. A parameter is skipped iff some finite F_P(p, q) is
-    0, which is exactly when some coordinate has a pole or a zero there:
+    F_P and the constants c_i of curve.forms and curve.consts, built once
+    per curve. A parameter is skipped iff some finite F_P(p, q) is 0, which
+    is exactly when some coordinate has a pole or a zero there:
     coordinates are reduced and place_index is the union of their supports.
     _private_survivors drops the parameters whose private place values
     prove independence, each place decided by one rule: a resultant
@@ -513,25 +482,22 @@ def scan_dependent(
     and passed to relation_lattice; a zero lattice there means the two
     routes disagree and raises InvariantViolation.
 
-    A record is FIBER(a) for the first character, positive orientation
-    first, whose _rational_fiber_points hold t0. Those points are dependent
-    (2a is a relation), so one off the places with max(|p|, q) <= H that no
-    record holds raises InvariantViolation.
+    A record is FIBER(a) for the first character of curve.characters,
+    positive orientation first, whose _rational_fiber_points hold t0. Those
+    points are dependent (2a is a relation), so one off the places with
+    max(|p|, q) <= H that no record holds raises InvariantViolation.
     """
     curve.require_proper()
-    if characters is None:
-        characters = phi_enumerate(curve)
     fiber_of: Dict[Fraction, Character] = {}
     # the positively oriented member of each +- pair first
-    for ch in sorted(characters, key=lambda ch: (next((x for x in ch.a if x), 0) < 0, ch.a)):
+    for ch in sorted(curve.characters, key=lambda ch: (next((x for x in ch.a if x), 0) < 0, ch.a)):
         for t0 in _rational_fiber_points(ch):
             fiber_of.setdefault(t0, ch.a)
     H = config.scan_height_bound
-    forms, consts = _place_forms(curve)
     rows = curve.divisor_matrix.entries
-    monomials = functools.cache(functools.partial(_sub_torus, rows, consts))
+    monomials = functools.cache(functools.partial(_sub_torus, rows, curve.consts))
     records = []
-    for p, q, values, flat in _private_survivors(curve, forms, consts, H):
+    for p, q, values, flat in _private_survivors(curve, H):
         products = [const + [(values[k], m) for k, m in places] for const, places in monomials(flat)]
         if independent_over_coprime_base(products):
             continue
@@ -556,7 +522,7 @@ def scan_dependent(
     found = {r.parameter for r in records}
     for t0 in fiber_of:
         p, q = t0.numerator, t0.denominator
-        if max(abs(p), q) <= H and t0 not in found and all(_form_at(f, p, q) for f in forms):
+        if max(abs(p), q) <= H and t0 not in found and all(_form_at(f, p, q) for f in curve.forms):
             raise InvariantViolation(f"fiber point t = {t0} missed by the scan")
     records.sort(key=lambda r: (r.height, r.parameter))
     return records
@@ -638,7 +604,7 @@ def analyze(curve_text: str, config: AnalysisConfig = AnalysisConfig()) -> Repor
     enumeration, torsion fibers for every character and order up to the
     bound, and the bounded-height dependence scan."""
     curve = parse_curve(curve_text).require_proper()
-    phi = tuple(phi_enumerate(curve))
+    phi = curve.characters
     # One list of fibers per +-a pair, cut from one sorted list of d-tagged
     # factors; a and -a share its tuples (and so their renderings).
     bound = config.torsion_order_bound
@@ -646,16 +612,15 @@ def analyze(curve_text: str, config: AnalysisConfig = AnalysisConfig()) -> Repor
     if m:
         _require_fiber_budget(m, bound)  # sum(phi(d)) >= bound: keeps the sieve small
         _require_fiber_budget(m, _totient_sum(bound))
-    places = _finite_place_forms(curve)
     ordered: Dict[Character, List[Tuple[Poly, ...]]] = {}
     fibers = []
     for ch in phi:
         key = max(ch.a, tuple(-x for x in ch.a))
         if key not in ordered:
-            tagged = _cyclotomic_factors(ch, range(1, bound + 1), places)
+            tagged = _cyclotomic_factors(curve, ch, range(1, bound + 1))
             ordered[key] = [tuple(q for d, q in tagged if N % d == 0) for N in range(1, bound + 1)]
         fibers.extend((ch.a, order, fiber) for order, fiber in enumerate(ordered[key], 1))
-    scan = tuple(scan_dependent(curve, config, phi))
+    scan = tuple(scan_dependent(curve, config))
     return Report(
         curve_text=tuple(render(f) for f in curve.coords),
         map_degree=curve.degree,

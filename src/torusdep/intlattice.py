@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from .errors import DomainError
+from .errors import DomainError, InvariantViolation
 
 Vector = Tuple[int, ...]
 
@@ -226,7 +226,8 @@ def primitive_witness(B: LatticeBasis) -> Optional[Vector]:
         basis[0], basis[bi] = basis[bi], basis[0]
         p = abs(w[0][bj])
         if p == 1:
-            assert content(basis[0]) == 1
+            if content(basis[0]) != 1:
+                raise InvariantViolation("Smith pivot 1 on a basis row of content above 1")
             return _sign_normalized(basis[0])
         for row in w:
             row[0], row[bj] = row[bj], row[0]

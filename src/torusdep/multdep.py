@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import DomainError
+from .errors import DomainError, InvariantViolation
 from .exactcore import int_nth_root
 from .intlattice import (
     IntMatrix,
@@ -449,12 +449,12 @@ def decompose(P: Sequence[Fraction]) -> Decomposition:
     for residual in A.entries:
         coords = []
         for row, col in zip(gen_rows, pivots):
-            q, rem = divmod(residual[col], row[col])
-            assert rem == 0  # rows lie in their own HNF row space
+            q = residual[col] // row[col]
             coords.append(q)
             if q:
                 residual = [a - q * b for a, b in zip(residual, row)]
-        assert not any(residual)
+        if any(residual):  # a remainder at a pivot stays: the rows below are 0 there
+            raise InvariantViolation("exponent row off its HNF's lattice")
         exp_rows.append(coords)
     return Decomposition(
         signs=tuple(-1 if x < 0 else 1 for x in pt),

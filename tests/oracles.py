@@ -16,12 +16,14 @@ expressions (expand, subs, sympy.gcd) instead of one sympy.Poly gcd of
 coefficient dicts, and character_oracle normalizes a character from the
 factored restricted character (divisor_of) and reads c off its
 composition with a Moebius map instead of taking P, Q and m from the
-divisor matrix and c from leading coefficients. compose substitutes one
-rational function into another in sympy.Poly alone, so no oracle composes
-with the library's own arithmetic. power_fiber_oracle factors the numerator
-of phi**N - 1 instead of mapping cyclotomic factors of the normal form back
-through the Moebius change, and cyclotomic_fibers_oracle gives the same
-fibers at every order up to a bound from the factored numerators of the
+divisor matrix and c from leading coefficients, and phi_pairs_oracle
+finds the character set with one kernel per pair of degree-1 places
+instead of one Hermite normal form of the divisor matrix. compose
+substitutes one rational function into another in sympy.Poly alone, so no
+oracle composes with the library's own arithmetic. power_fiber_oracle
+factors the numerator of phi**N - 1 instead of mapping cyclotomic factors
+of the normal form back through the Moebius change, and
+cyclotomic_fibers_oracle gives the same fibers at every order up to a bound from the factored numerators of the
 Phi_d(phi), each factored once, order_fibers_oracle assembles each order's
 fiber from separate per-divisor factor lists, each d's built and filtered
 against Place objects on its own, and sorts every order afresh instead of
@@ -55,6 +57,7 @@ from torusdep.curvegeom import (
     check_assumption,
     cyclotomic_realizable,
     divisor_of,
+    normalize_character,
     phi_enumerate,
 )
 from torusdep.errors import DomainError, InvariantViolation, PreconditionError
@@ -185,6 +188,34 @@ def phi_oracle(curve: CurveData, B: int) -> List[Character]:
     return sorted(out)
 
 
+def phi_pairs_oracle(curve: CurveData) -> List[NormalizedCharacter]:
+    """phi_enumerate by one kernel per pair of degree-1 places: the kernel
+    of the divisor matrix with the two rows deleted has rank at most 1
+    under the standing hypothesis, and a rank-1 kernel yields one +- pair,
+    whose divisor D·a is supported on exactly the two places: it has
+    degree 0 and, by the hypothesis, is not zero."""
+    curve.require_proper()
+    places = curve.place_index
+    rational = [i for i, p in enumerate(places) if p.degree == 1]
+    found: Dict[Character, None] = {}
+    for ii in range(len(rational)):
+        for jj in range(ii + 1, len(rational)):
+            keep = [r for r in range(len(places)) if r != rational[ii] and r != rational[jj]]
+            if not keep:
+                raise InvariantViolation("divisor matrix with two places contradicts the hypothesis")
+            kernel = kernel_basis(IntMatrix([curve.divisor_matrix.row(r) for r in keep]))
+            if kernel.rank == 0:
+                continue
+            if kernel.rank >= 2:
+                raise InvariantViolation("place pair admits a rank-2 character space")
+            a = kernel.vectors[0]
+            if content(a) != 1:
+                raise InvariantViolation("saturated kernel produced an imprimitive vector")
+            found.setdefault(a, None)
+            found.setdefault(tuple(-x for x in a), None)
+    return [normalize_character(curve, a) for a in sorted(found)]
+
+
 def _pure_power(cs: Sequence) -> bool:
     """Whether cs (coefficients, highest first, degree m >= 1) is
     lc*(t - r)**m, with r read off the second-highest coefficient."""
@@ -256,20 +287,14 @@ def _scan_parameters(H: int):
                 yield Fraction(p, q)
 
 
-def scan_oracle(
-    curve: CurveData,
-    config: AnalysisConfig,
-    characters: Optional[Sequence[NormalizedCharacter]] = None,
-) -> List[ScanRecord]:
+def scan_oracle(curve: CurveData, config: AnalysisConfig) -> List[ScanRecord]:
     """The height scan done the direct way: evaluate every coordinate at
     every parameter with Fractions and build its relation lattice. Test use
     only."""
     curve.require_proper()
-    if characters is None:
-        characters = phi_enumerate(curve)
     # Prefer the positively oriented member of each +- pair when classifying.
     ordered = sorted(
-        characters,
+        phi_enumerate(curve),
         key=lambda ch: (next((x for x in ch.a if x), 0) < 0, ch.a),
     )
     records = []
@@ -315,12 +340,10 @@ def scan_oracle(
     return records
 
 
-def private_survivors_oracle(
-    curve: CurveData, forms: Sequence[Tuple[int, ...]], consts: Sequence[Fraction], H: int
-) -> Iterator[Tuple[int, int, List[int], int]]:
+def private_survivors_oracle(curve: CurveData, H: int) -> Iterator[Tuple[int, int, List[int], int]]:
     """The coprime (p, q) with max(|p|, q) <= H and no finite F_P(p, q) = 0
     that the private-part filter keeps, each with its values
-    v_P = |F_P(p, q)| (forms and consts from _place_forms) and its mask,
+    v_P = |F_P(p, q)| (curve.forms and curve.consts) and its mask,
     bit k set iff the k-th place has r_P > 1.
 
     The private part r_P is v_P stripped, by repeated gcd, of every prime
@@ -331,8 +354,8 @@ def private_survivors_oracle(
     independent, and the parameter dropped, when the rows of D of the
     places with r_P > 1 have rank n; that rank is kept per set of places.
     """
-    rows = curve.divisor_matrix.entries
-    C = math.prod(abs(c.numerator) * c.denominator for c in consts)
+    rows, forms = curve.divisor_matrix.entries, curve.forms
+    C = math.prod(abs(c.numerator) * c.denominator for c in curve.consts)
     full_rank: Dict[int, bool] = {}
     for q in range(1, H + 1):
         # coefficients from the top, the k-th times q**k: Horner in p alone

@@ -119,7 +119,7 @@ def _random_proper_curves(count, seed):
 @criterion("criterion 4 (finiteness at desk scale)")
 def test_criterion_4_random_curves_match_oracle():
     for curve in _random_proper_curves(50, seed=20260823):
-        chars = phi_enumerate(curve)  # raises on any rank >= 2 pair
+        chars = phi_enumerate(curve)  # checks D·a = m(e_P - e_Q), m != 0, for each character
         assert sorted(ch.a for ch in chars) == phi_oracle(curve, 6)
 
 
@@ -195,11 +195,10 @@ def test_criterion_7_realizability():
 @criterion("criterion 8 (bounded-height observation)")
 def test_criterion_8_bounded_height():
     curve = parse_curve("(t-1)^2; t")
-    phi = phi_enumerate(curve)
     snapshot = math.log(8)  # committed: attained at t0 = 1/2, point (1/4, 1/2)
     maxima = []
     for H in (10, 25, 50):
-        recs = scan_dependent(curve, AnalysisConfig(scan_height_bound=H), phi)
+        recs = scan_dependent(curve, AnalysisConfig(scan_height_bound=H))
         maxima.append(max(r.height for r in recs))
     assert maxima[0] >= maxima[1] >= maxima[2]  # non-increasing beyond H=10
     for mx in maxima:

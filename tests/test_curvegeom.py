@@ -3,7 +3,28 @@ from fractions import Fraction as F
 
 import pytest
 
-from oracles import character_restrict, compose, monomial_product, phi_oracle, two_point_divisor_oracle
+from oracles import (
+    character_restrict,
+    compose,
+    monomial_product,
+    phi_oracle,
+    phi_pairs_oracle,
+    two_point_divisor_oracle,
+)
+from test_fibers import BRANCH_CURVES
+from test_fibers import CURVES as FIBER_CURVES
+from test_golden_outputs import GOLDEN, SCAN_200
+from test_scan import (
+    BENCH_CURVES,
+    LOW_LINEAR_RANK,
+    MORE_CURVES,
+    NO_INFINITY,
+    QUADRATIC_PLACE,
+    _many_place_curves,
+    _random_proper_curves,
+    _shared_prime_curves,
+)
+from torusdep import curvegeom
 from torusdep.curvegeom import (
     CurveData,
     Place,
@@ -16,6 +37,8 @@ from torusdep.curvegeom import (
 )
 from torusdep.errors import DomainError, PreconditionError
 from torusdep.exactcore import Poly, RatFunc, nth_power_in_Q
+from torusdep.explorer import parse_curve
+from torusdep.intlattice import hnf, kernel_basis
 
 T = Poly.variable()
 INF = Place.INFINITY
@@ -283,3 +306,78 @@ def test_ambient_dimension_three():
     bound = 1 + max(abs(x) for ch in chars for x in ch.a)
     assert sorted(ch.a for ch in chars) == phi_oracle(c, bound)
     assert (0, 0, 1) in {ch.a for ch in chars}
+
+
+def _seeded_curves(count, seed):
+    """Proper curves under the hypothesis of 2 to 4 coordinates, each a
+    constant times 0 to 3 powers (exponents -2 to 3) of factors drawn from
+    places t - a/b, b <= 4, and from places of degree 2 and 3."""
+    rng = random.Random(seed)
+    linear = [T - F(a, b) for a in range(-6, 7) for b in (1, 2, 3, 4)]
+    higher = [T ** 2 + 1, T ** 2 - 2, 2 * T ** 2 + T + 1, T ** 3 - 2, T ** 3 + T + 1]
+    curves = []
+    while len(curves) < count:
+        coords = []
+        for _ in range(rng.randint(2, 4)):
+            sides = [Poly([F(rng.choice((1, -1, 2, 3, -5)), rng.choice((1, 2)))]), Poly([1])]
+            for _ in range(rng.randint(0, 3)):
+                factor = rng.choice(higher) if rng.random() < 0.25 else rng.choice(linear)
+                e = rng.choice((-2, -1, 1, 1, 2, 3))
+                sides[e < 0] = sides[e < 0] * factor ** abs(e)
+            coords.append(RatFunc(*sides))
+        if all(f.is_constant() for f in coords):
+            continue
+        c = CurveData.build(coords)
+        if c.violation is None and c.degree == 1:
+            curves.append(c)
+    return curves
+
+
+def test_phi_enumerate_matches_pairs_oracle_on_seeded_curves():
+    """One HNF of D gives the pair loop's characters, in its order, on
+    curves with non-integer roots and places of degree 2 and 3."""
+    seen = set()
+    for c in _seeded_curves(300, seed=26):
+        chars = phi_enumerate(c)
+        assert chars == phi_pairs_oracle(c), [f"{f}" for f in c.coords]
+        if chars:
+            seen.add(("characters", c.n))
+            seen.add(("higher place", any(p.degree > 1 for p in c.place_index)))
+            roots = [p.rational_root() for ch in chars for p in (ch.P, ch.Q) if not p.is_infinity]
+            seen.add(("non-integer root", any(r.denominator > 1 for r in roots)))
+    assert seen >= {("characters", n) for n in (2, 3, 4)} | {("higher place", True), ("non-integer root", True)}
+
+
+def test_phi_enumerate_matches_pairs_oracle_on_test_curves():
+    """Every curve the other test modules name, and their seeded families."""
+    texts = [*BENCH_CURVES, NO_INFINITY, QUADRATIC_PLACE, LOW_LINEAR_RANK, *FIBER_CURVES]
+    texts += [t for t, _H, _p in MORE_CURVES] + [t for t, _N in BRANCH_CURVES]
+    texts += [t for t, _ch, _d in GOLDEN] + [t for t, _d in SCAN_200]
+    curves = [parse_curve(text) for text in texts]
+    curves += [example1(2), example1(3), example1(4), curve(2 * T ** 3, T - 1), curve(T, T + 1)]
+    curves += [c for c, _H in _random_proper_curves(40, seed=4242) + _shared_prime_curves(40, seed=16)]
+    counted = 0
+    for c in curves:
+        chars = phi_enumerate(c)
+        assert chars == phi_pairs_oracle(c), [f"{f}" for f in c.coords]
+        counted += len(chars)
+    assert counted > 100
+
+
+def test_phi_enumerate_matches_pairs_oracle_on_many_place_curves():
+    """36 to 80 places and 5 coordinates, with characters."""
+    for c in _many_place_curves(3, seed=26, lines=True):
+        assert len(c.place_index) >= 36
+        chars = phi_enumerate(c)
+        assert len(chars) >= 6 and chars == phi_pairs_oracle(c)
+
+
+def test_phi_enumerate_runs_one_hnf_and_no_kernel_basis(monkeypatch):
+    """Once the curve is validated, one HNF of D answers all pairs of its
+    degree-1 places."""
+    c = _many_place_curves(1, seed=26, lines=True)[0].require_proper()
+    calls = []
+    monkeypatch.setattr(curvegeom, "hnf", lambda M: calls.append("hnf") or hnf(M))
+    monkeypatch.setattr(curvegeom, "kernel_basis", lambda M: calls.append("kernel_basis") or kernel_basis(M))
+    assert len(phi_enumerate(c)) == 6
+    assert calls == ["hnf"]

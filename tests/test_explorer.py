@@ -4,7 +4,6 @@ from fractions import Fraction as F
 import pytest
 
 from oracles import character_restrict
-from torusdep.curvegeom import phi_enumerate
 from torusdep.errors import (
     AssumptionViolation,
     DomainError,
@@ -122,8 +121,7 @@ class TestScan:
 
     def test_fiber_records_evaluate_to_sign(self):
         c = parse_curve("(t-1)^2; t")
-        chars = phi_enumerate(c)
-        for rec in scan_dependent(c, AnalysisConfig(scan_height_bound=15), chars):
+        for rec in scan_dependent(c, AnalysisConfig(scan_height_bound=15)):
             if rec.fiber_character is not None:
                 value = F(1)
                 for x, e in zip(rec.point, rec.fiber_character):

@@ -29,7 +29,6 @@ from torusdep.errors import InvariantViolation
 from torusdep.exactcore import Poly, RatFunc
 from torusdep.explorer import (
     AnalysisConfig,
-    _place_forms,
     _private_survivors,
     _rational_fiber_points,
     _sub_torus,
@@ -77,8 +76,7 @@ def test_curve_without_place_at_infinity():
 def test_quadratic_place_and_nonunit_constants():
     curve = parse_curve(QUADRATIC_PLACE)
     assert any(p.degree == 2 for p in curve.place_index)
-    _forms, consts = _place_forms(curve)
-    assert any(abs(c) != 1 for c in consts)
+    assert any(abs(c) != 1 for c in curve.consts)
     assert _same_scan(curve, 30)
 
 
@@ -113,8 +111,7 @@ def _swept(curve, H):
 
 
 def _survivors(curve, H):
-    forms, consts = _place_forms(curve)
-    return [(p, q) for p, q, _values, _flat in _private_survivors(curve, forms, consts, H)]
+    return [(p, q) for p, q, _values, _flat in _private_survivors(curve, H)]
 
 
 @pytest.mark.parametrize("text", BENCH_CURVES + [NO_INFINITY, QUADRATIC_PLACE])
@@ -173,7 +170,8 @@ def test_random_curves_match_oracle():
 @pytest.mark.parametrize("text", BENCH_CURVES + [NO_INFINITY, QUADRATIC_PLACE])
 def test_place_form_identity(text):
     curve = parse_curve(text)
-    forms, consts = _place_forms(curve)
+    forms, consts = curve.forms, curve.consts
+    assert all(math.gcd(*f) == 1 for f in forms)
     rows = curve.divisor_matrix.entries
     for p in range(-7, 8):
         for q in range(1, 6):
@@ -253,10 +251,9 @@ def _same_stream(curve, H):
     """Assert that the filter keeps the oracle's (p, q, values), each with
     the flat of the oracle's private places: a basis of the span of their
     rows of D."""
-    forms, consts = _place_forms(curve)
     rows = curve.divisor_matrix.entries
-    stream = list(_private_survivors(curve, forms, consts, H))
-    oracle = list(private_survivors_oracle(curve, forms, consts, H))
+    stream = list(_private_survivors(curve, H))
+    oracle = list(private_survivors_oracle(curve, H))
     assert [s[:3] for s in stream] == [o[:3] for o in oracle]
     for (p, q, _values, flat), (*_, mask) in zip(stream, oracle):
         private = [row for k, row in enumerate(rows) if mask >> k & 1]
@@ -321,11 +318,13 @@ def test_filter_stream_matches_oracle_where_resultants_share_small_primes():
     assert kept > 0.05 * swept
 
 
-def _many_place_curves(count, seed):
+def _many_place_curves(count, seed, lines=False):
     """Proper curves of three coordinates with 20 to 80 degree-1 places
     t - a/b, |a| <= 30 and b <= 3, each in one or two coordinates with
     exponent -2, -1, 1 or 2; built from Poly products, so only the divisors
-    factor. The gcd of the coordinates' degrees is 1."""
+    factor. The gcd of the coordinates' degrees is 1. With lines, two more
+    coordinates t - a and t - b, for a != b drawn from the same roots, give
+    each curve at least the characters of the pairs among a, b and inf."""
     rng = random.Random(seed)
     roots = [F(a, b) for b in (1, 2, 3) for a in range(-30, 31) if math.gcd(a, b) == 1]
     curves = []
@@ -338,6 +337,8 @@ def _many_place_curves(count, seed):
         degrees = [max(num.degree, den.degree) for num, den in parts]
         if 0 in degrees or math.gcd(*degrees) != 1:
             continue
+        if lines:
+            parts += [(Poly([-root, F(1)]), Poly([F(1)])) for root in rng.sample(roots, 2)]
         curve = CurveData.build([RatFunc(num, den) for num, den in parts])
         if curve.violation is None:
             curves.append(curve)
@@ -399,12 +400,11 @@ def _verdicts(curve, H):
     monomials over the kernel of its flat, equals the verdict on the n
     products |x_i|; return each survivor's (flat is (), kernel rank,
     dependent)."""
-    forms, consts = _place_forms(curve)
-    rows = curve.divisor_matrix.entries
+    rows, consts = curve.divisor_matrix.entries, curve.consts
     constants = [[(abs(c.numerator), 1), (c.denominator, -1)] for c in consts]
     supports = [[(k, row[i]) for k, row in enumerate(rows) if row[i]] for i in range(curve.n)]
     seen = []
-    for p, q, values, flat in _private_survivors(curve, forms, consts, H):
+    for p, q, values, flat in _private_survivors(curve, H):
         whole = [const + [(values[k], m) for k, m in support] for const, support in zip(constants, supports)]
         monomials = _sub_torus(rows, consts, flat)
         assert all(rank(flat + (rows[k],)) > len(flat) for _const, places in monomials for k, _m in places)

@@ -1,6 +1,8 @@
 """Curve validation (properness and the standing hypothesis), checked once
 per curve and reported by exception type; CLI exit codes; parser and
-point-literal budgets."""
+point-literal budgets; no assert statement in the package, since python -O
+strips them."""
+import ast
 import contextlib
 import io
 import json
@@ -20,10 +22,12 @@ from torusdep.errors import (
     AssumptionViolation,
     DomainError,
     ImproperParametrization,
+    InvariantViolation,
     ParseError,
     PreconditionError,
 )
 from torusdep.explorer import AnalysisConfig, analyze, parse_curve, scan_dependent, torsion_fiber
+from torusdep.intlattice import IntMatrix, hnf
 from torusdep.parser import (
     MAX_COEFF_BITS,
     MAX_DEGREE,
@@ -88,7 +92,7 @@ def test_require_proper_returns_the_curve():
 
 
 def test_analyze_validates_the_curve_once(monkeypatch):
-    calls = {"map_degree": 0, "check_assumption": 0}
+    calls = {"map_degree": 0, "check_assumption": 0, "phi_enumerate": 0}
     for name in calls:
         original = getattr(curvegeom, name)
 
@@ -101,7 +105,35 @@ def test_analyze_validates_the_curve_once(monkeypatch):
             if module.__name__.startswith("torusdep") and getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted)
     analyze("(t-1)^2; t", SMALL)
-    assert calls == {"map_degree": 1, "check_assumption": 1}
+    assert calls == {"map_degree": 1, "check_assumption": 1, "phi_enumerate": 1}
+
+
+def test_a_wrong_character_raises(monkeypatch, capsys):
+    """Each character phi_enumerate finds is checked exactly against D: an
+    HNF with a wrong entry above the diagonal gives a wrong character."""
+
+    def wrong(M):
+        h, u = hnf(M)
+        rows = [list(row) for row in h.entries]
+        rows[0][1] += 1
+        return IntMatrix(rows), u
+
+    monkeypatch.setattr(curvegeom, "hnf", wrong)
+    with pytest.raises(InvariantViolation, match="is not supported on two places"):
+        phi_enumerate(parse_curve("(t-1)^2; t"))
+    assert main(["phi", "--curve", "(t-1)^2; t"]) == 5
+    assert capsys.readouterr().err.startswith("internal invariant violation: character")
+
+
+def test_no_assert_in_the_package():
+    package = Path(curvegeom.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def test_report_and_phi_command_share_the_character_dict(capsys):
@@ -120,6 +152,12 @@ class TestExitCodes:
     def test_character_outside_the_set_exits_2(self, capsys):
         assert main(["fiber", "--curve", "(t-1)^3; t", "--char", "1,-1", "--order", "2"]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_multiple_of_a_character_exits_0(self, capsys):
+        """A --char need not be primitive: 2*(0, 1) has divisor 2(0) - 2(inf)
+        on two rational places, and its fiber is that of t**2."""
+        assert main(["fiber", "--curve", "(t-1)^3; t", "--char", "0,2", "--order", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["factors"] == ["t + 1", "t^2 + 1"]
 
     def test_order_zero_exits_2(self, capsys):
         assert main(["fiber", "--curve", "(t-1)^3; t", "--char", "1,0", "--order", "0"]) == 2
