@@ -18,7 +18,7 @@ from .errors import (
     InvariantViolation,
 )
 from .exactcore import Poly, RatFunc, factor_poly, nth_power_in_Q, render
-from .intlattice import IntMatrix, content, hnf, kernel_basis
+from .intlattice import IntMatrix, content, hnf, kernel_basis, rank
 
 Character = Tuple[int, ...]
 
@@ -226,11 +226,11 @@ def map_degree(curve: CurveData) -> int:
 
 
 def check_assumption(curve: CurveData) -> Optional[Character]:
-    """None if no nontrivial monomial in the coordinates is constant;
-    otherwise a primitive exponent vector witnessing a constant monomial."""
-    kernel = kernel_basis(curve.divisor_matrix)
-    if kernel.is_zero():
+    """None if the divisor matrix has rank n (Bareiss): no nontrivial monomial
+    is constant; otherwise a primitive witness vector from its kernel."""
+    if rank(curve.divisor_matrix.entries) == curve.n:
         return None
+    kernel = kernel_basis(curve.divisor_matrix)
     # a sign-normalized row of a unimodular transform: content 1
     v = kernel.vectors[0]
     if content(v) != 1:

@@ -1,7 +1,7 @@
-"""Exact integer linear algebra: Hermite normal form with transform,
-integer kernels, and content/primitivity queries on lattices. A content-1
-lattice vector is read off the basis rows as the first Smith pivot stage
-reduces them, with no inverse column transform.
+"""Exact integer linear algebra: one Hermite elimination for the normal
+form with or without its transform and for integer kernels; content and
+primitivity queries on lattices, a content-1 vector read off the basis
+rows by the first Smith pivot stage, with no inverse column transform.
 
 Conventions: row-style HNF, positive pivots, entries above a pivot reduced
 into [0, pivot). Everything is arbitrary-precision Python integers.
@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from operator import index
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import DomainError, InvariantViolation
 
@@ -23,12 +24,20 @@ class IntMatrix:
     __slots__ = ("entries",)
 
     def __init__(self, entries: Sequence[Sequence[int]]):
-        rows = tuple(tuple(int(x) for x in row) for row in entries)
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
-                raise DomainError("ragged matrix")
+        try:  # operator.index: a non-integer entry is refused, never truncated
+            rows = tuple(tuple(map(index, row)) for row in entries)
+        except TypeError as exc:
+            raise DomainError(f"integer entries expected: {exc}") from None
+        if len({len(r) for r in rows}) > 1:
+            raise DomainError("ragged matrix")
         object.__setattr__(self, "entries", rows)
+
+    @classmethod
+    def _trusted(cls, entries: Sequence[Sequence[int]]) -> "IntMatrix":
+        """Rows of ints of one width, taken without conversion or checks."""
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "entries", tuple(map(tuple, entries)))
+        return matrix
 
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
@@ -45,7 +54,7 @@ class IntMatrix:
         return self.entries[i]
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(list(zip(*self.entries))) if self.entries else IntMatrix([])
+        return IntMatrix._trusted(zip(*self.entries))
 
     def mul_vec(self, v: Sequence[int]) -> Vector:
         if len(v) != self.cols:
@@ -67,7 +76,7 @@ class IntMatrix:
 def rank(vectors: Sequence[Sequence[int]]) -> int:
     """Rank over Q of a list of integer vectors, by fraction-free (Bareiss)
     elimination: every division is exact, so all entries stay integers."""
-    m = [[int(x) for x in row] for row in vectors]
+    m = [list(map(index, row)) for row in vectors]
     r = 0
     prev = 1
     for col in range(len(m[0]) if m else 0):
@@ -94,11 +103,11 @@ class LatticeBasis:
     vectors: Tuple[Vector, ...]
 
     def __post_init__(self):
-        vecs = tuple(tuple(int(x) for x in v) for v in self.vectors)
-        object.__setattr__(self, "vectors", vecs)
+        vecs = tuple(self.vectors)
         if any(len(v) != self.ambient for v in vecs):
             raise DomainError("basis vector length differs from ambient dimension")
-        if vecs and rank(vecs) != len(vecs):
+        object.__setattr__(self, "vectors", IntMatrix(vecs).entries)
+        if vecs and rank(self.vectors) != len(vecs):
             raise DomainError("basis vectors are linearly dependent")
 
     @classmethod
@@ -118,18 +127,17 @@ class LatticeBasis:
         return not self.vectors
 
 
-def hnf(M: IntMatrix) -> Tuple[IntMatrix, IntMatrix]:
-    """Row-style Hermite normal form.
-
-    Returns (H, U) with U unimodular and H = U @ M; pivots positive,
-    entries above each pivot reduced into [0, pivot).
-    """
-    h = [list(row) for row in M.entries]
-    u = [[1 if i == j else 0 for j in range(M.rows)] for i in range(M.rows)]
-    nrows = M.rows
-    ncols = M.cols
+def eliminate(h: List[List[int]], transform: bool = False,
+              reduce_above: bool = True) -> Tuple[int, Optional[List[List[int]]]]:
+    """Row-style Hermite elimination of the rows h in place: the number of
+    pivots (zero rows follow pivot rows) and, with transform, the unimodular
+    U with h = U @ h_given, else None. reduce_above=False skips the
+    reductions above each pivot; they touch only rows above it, never zero
+    and never read below it, so U's rows opposite h's zero rows stay."""
+    nrows = len(h)
+    u = [[int(i == j) for j in range(nrows)] if transform else [] for i in range(nrows)]
     pivot_row = 0
-    for col in range(ncols):
+    for col in range(len(h[0]) if h else 0):
         if pivot_row >= nrows:
             break
         # Reduce the column below pivot_row to a single nonzero entry.
@@ -145,31 +153,37 @@ def hnf(M: IntMatrix) -> Tuple[IntMatrix, IntMatrix]:
                 break
             p = h[pivot_row][col]
             for r in range(pivot_row + 1, nrows):
-                if h[r][col] != 0:
-                    q = h[r][col] // p
-                    if q:
-                        h[r] = [a - q * b for a, b in zip(h[r], h[pivot_row])]
-                        u[r] = [a - q * b for a, b in zip(u[r], u[pivot_row])]
+                q = h[r][col] // p
+                if q:
+                    h[r] = [a - q * b for a, b in zip(h[r], h[pivot_row])]
+                    u[r] = [a - q * b for a, b in zip(u[r], u[pivot_row])]
         if h[pivot_row][col] == 0:
             continue
         if h[pivot_row][col] < 0:
             h[pivot_row] = [-a for a in h[pivot_row]]
             u[pivot_row] = [-a for a in u[pivot_row]]
         p = h[pivot_row][col]
-        for r in range(pivot_row):
+        for r in range(pivot_row) if reduce_above else ():
             q = h[r][col] // p
             if q:
                 h[r] = [a - q * b for a, b in zip(h[r], h[pivot_row])]
                 u[r] = [a - q * b for a, b in zip(u[r], u[pivot_row])]
         pivot_row += 1
-    return IntMatrix(h), IntMatrix(u)
+    return pivot_row, u if transform else None
+
+
+def hnf(M: IntMatrix) -> Tuple[IntMatrix, IntMatrix]:
+    """Row-style Hermite normal form (H, U), U unimodular and H = U @ M."""
+    h = [list(row) for row in M.entries]
+    _, u = eliminate(h, transform=True)
+    return IntMatrix._trusted(h), IntMatrix._trusted(u)
 
 
 def left_kernel(M: IntMatrix) -> Tuple[Vector, ...]:
     """A basis of the saturated lattice {a in Z^rows : a @ M = 0}: the rows
-    of U opposite the zero rows of H = U @ M, sign-normalized."""
-    h, u = hnf(M)
-    return tuple(_sign_normalized(ur) for hr, ur in zip(h.entries, u.entries) if not any(hr))
+    of U opposite H = U @ M's zero rows, sign-normalized; H left unreduced."""
+    k, u = eliminate([list(row) for row in M.entries], transform=True, reduce_above=False)
+    return tuple(_sign_normalized(row) for row in u[k:])
 
 
 def kernel_basis(M: IntMatrix) -> LatticeBasis:
@@ -196,8 +210,6 @@ def min_content(B: LatticeBasis) -> int:
     Equals the first Smith elementary divisor of the basis matrix, which is
     the gcd of all basis entries.
     """
-    if B.is_zero():
-        return 0
     return math.gcd(*[abs(x) for v in B.vectors for x in v])
 
 

@@ -6,9 +6,10 @@ Points have nonzero rational coordinates; the only torsion in Q* is the
 sign, a parity functional on the relation kernel. Every lattice comes from
 one matrix, the coordinates' exponent rows over the coprime base of their
 |numerators| and denominators (gcds alone), whose columns primes only
-order (_by_least_prime). factor_int and factor_rational factor in batches
-(_factor_batch), whose one use of sympy, imported on first use, is isprime
-on a cofactor of 2^24 or more.
+order (_by_least_prime), through one elimination (U's rows opposite H's
+zero rows for relation_lattice, H alone for decompose). factor_int and
+factor_rational factor in batches (_factor_batch), whose one use of
+sympy, imported on first use, is isprime on a cofactor of 2^24 or more.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from .exactcore import int_nth_root
 from .intlattice import (
     IntMatrix,
     LatticeBasis,
-    hnf,
+    eliminate,
     left_kernel,
     primitive_witness,
     rank,
@@ -284,31 +285,44 @@ def factor_rational(x: Fraction) -> FactoredRational:
 
 
 def _check_point(P: Sequence[Fraction]) -> PointQ:
-    pt = tuple(Fraction(x) for x in P)
+    pt = tuple(x if type(x) is Fraction else Fraction(x) for x in P)
     if len(pt) < 2:
         raise DomainError("points live in an ambient torus of dimension >= 2")
-    if any(x == 0 for x in pt):
+    if not all(pt):
         raise DomainError("point coordinates must be nonzero")
     return pt
 
 
 def coprime_base(values: Iterable[int]) -> List[int]:
     """Pairwise coprime integers > 1, increasing, such that every positive
-    value is a product of them (factor refinement by gcd splitting: a pair
-    a, b with g = gcd(a, b) > 1 becomes g, a/g, b/g, leaving out 1s; the
-    product of the pool falls at each split, so this ends). No factoring."""
-    todo = [v for v in values if v > 1]
+    value is a product of them, by gcd splitting alone. Each distinct value
+    a sweeps the base once: b with g = gcd(a, b) > 1 gives way to g and b
+    stripped of g (pooled unless coprime), and a, stripped of g, is pooled
+    again. All stay products of the coarsest coprime base, the result."""
+    todo = {v for v in values if v > 1}
     base: List[int] = []
     while todo:
-        a = todo.pop()
-        for i, b in enumerate(base):
+        a = given = todo.pop()
+        kept = []
+        for b in base:
             g = math.gcd(a, b)
-            if g > 1:
-                del base[i]
-                todo += [v for v in (g, a // g, b // g) if v > 1]
-                break
-        else:
-            base.append(a)
+            if g == 1:
+                kept.append(b)
+                continue
+            a, b = a // g, b // g
+            while a % g == 0:
+                a //= g
+            while b % g == 0:
+                b //= g
+            if math.gcd(g, b) == 1:
+                kept += [g, b] if b > 1 else [g]
+            else:
+                todo.update((g, b))
+        if a == given:
+            kept.append(a)
+        elif a > 1:
+            todo.add(a)
+        base = kept
     return sorted(base)
 
 
@@ -338,9 +352,9 @@ def _point_rows(pt: PointQ) -> Tuple[List[int], List[List[int]]]:
 
 def _by_least_prime(base: List[int], rows: List[List[int]]) -> Tuple[List[int], IntMatrix]:
     """The base sorted by least prime factor, and the IntMatrix of rows
-    with its columns in that order. _small_part gives the least prime of an
-    element with one below 2^12; the others take the key 2^12, above those,
-    and are factored in one batch only when two or more must be ordered.
+    with its columns in that order: trial division of g = gcd(b,
+    _SMALL_PRODUCT) up to sqrt(g) finds a least prime below 2^12; other b
+    take the key 2^12 and are factored together only if two or more do.
 
     The bytes are those of a column per prime p | b_j: column j times
     v_p(b_j) > 0. hnf's choices (least |entry|, first on ties; //; sign
@@ -348,12 +362,16 @@ def _by_least_prime(base: List[int], rows: List[List[int]]) -> Tuple[List[int], 
     prime's column, already cleared below the pivot. So U is the same, the
     kernel too, prod(p ** h) = prod(b ** h), and each pivot falls on the
     element with the least least prime, so back-substitution is the same."""
-    least = {b: min(_small_part(b)[0], default=_SMALL_BOUND) for b in base}
+    least = {}
+    for b in base:  # g is squarefree: 1, a prime, or a multiple of some p <= sqrt(g)
+        g = math.gcd(b, _SMALL_PRODUCT)
+        p = next(p for p in _SMALL_PRIMES if p * p > g or g % p == 0)
+        least[b] = p if g % p == 0 else g if g > 1 else _SMALL_BOUND
     large = [b for b in base if least[b] == _SMALL_BOUND]
     if len(large) > 1:
         least.update(zip(large, map(min, _factor_batch(large))))
     order = sorted(range(len(base)), key=lambda j: least[base[j]])
-    return [base[j] for j in order], IntMatrix([[row[j] for j in order] for row in rows])
+    return [base[j] for j in order], IntMatrix._trusted([row[j] for j in order] for row in rows)
 
 
 def independent_over_coprime_base(products: Sequence[Sequence[Tuple[int, int]]]) -> bool:
@@ -430,15 +448,15 @@ def decompose(P: Sequence[Fraction]) -> Decomposition:
     """Torsion/free decomposition of the group generated by the coordinates.
 
     The coordinates' exponent rows over their coprime base, its columns
-    ordered by _by_least_prime, go through one HNF. Each nonzero row h of
-    it gives a generator prod(b ** h) over the ordered base, and each
-    coordinate's exponent row comes from back-substitution against those
-    rows at their pivot columns.
+    ordered by _by_least_prime, go through one elimination to their HNF,
+    without a transform. Each nonzero row h of it gives a generator
+    prod(b ** h) over the ordered base, and each coordinate's exponent row
+    comes from back-substitution against those rows at their pivot columns.
     """
     pt = _check_point(P)
     base, A = _by_least_prime(*_point_rows(pt))
-    h, _ = hnf(A)
-    gen_rows = [row for row in h.entries if any(row)]
+    h = [list(row) for row in A.entries]
+    gen_rows = h[: eliminate(h)[0]]
     pivots = [next(j for j, x in enumerate(row) if x) for row in gen_rows]
     generators = []
     for row in gen_rows:
@@ -459,7 +477,7 @@ def decompose(P: Sequence[Fraction]) -> Decomposition:
     return Decomposition(
         signs=tuple(-1 if x < 0 else 1 for x in pt),
         generators=tuple(generators),
-        exponents=IntMatrix(exp_rows),
+        exponents=IntMatrix._trusted(exp_rows),
     )
 
 

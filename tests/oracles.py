@@ -35,7 +35,10 @@ renders a polynomial by comparing Fractions instead of reading each
 coefficient's numerator and denominator, and
 decompose_oracle solves each coordinate's exponent row with
 express_in_basis (its own HNF and transform) over the sympy-factored prime
-matrix instead of back-substituting against decompose's HNF.
+matrix instead of back-substituting against decompose's HNF, and
+coprime_base_oracle refines factors by restarting its scan of the base
+after every gcd split instead of sweeping each value over the whole base
+once.
 
 The exact checks the tests apply to library output live here too:
 express_in_basis solves for lattice coordinates, monomial_product and
@@ -45,7 +48,7 @@ its decomposition."""
 import functools
 import math
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import sympy
 
@@ -83,6 +86,25 @@ from torusdep.multdep import (
     point_height,
     relation_lattice,
 )
+
+
+def coprime_base_oracle(values: Iterable[int]) -> List[int]:
+    """Pairwise coprime integers > 1, increasing, such that every positive
+    value is a product of them: a pair a, b with g = gcd(a, b) > 1 becomes
+    g, a/g, b/g, leaving out 1s, and the scan starts over."""
+    todo = [v for v in values if v > 1]
+    base: List[int] = []
+    while todo:
+        a = todo.pop()
+        for i, b in enumerate(base):
+            g = math.gcd(a, b)
+            if g > 1:
+                del base[i]
+                todo += [v for v in (g, a // g, b // g) if v > 1]
+                break
+        else:
+            base.append(a)
+    return sorted(base)
 
 
 def express_in_basis(v: Sequence[int], B: LatticeBasis) -> Optional[Vector]:

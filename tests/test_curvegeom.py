@@ -118,6 +118,33 @@ def test_check_assumption_examples():
     assert check_assumption(curve(T, 2 * T)) == (1, -1)
 
 
+def test_check_assumption_matches_the_kernel_route(monkeypatch):
+    """Bareiss rank n decides the hypothesis; only a failing curve runs
+    kernel_basis, and its witness is the kernel's first row, as when every
+    curve ran it. Seeded curves of 2 to 4 coordinates, each a constant
+    times powers of t - a, |a| <= 4: about half of them fail."""
+    calls = []
+    monkeypatch.setattr(curvegeom, "kernel_basis", lambda M: calls.append(M) or kernel_basis(M))
+    rng = random.Random(27)
+    linear = [T - a for a in range(-4, 5)]
+    failing = 0
+    for _ in range(200):
+        coords = []
+        for _ in range(rng.randint(2, 4)):
+            f = RatFunc(Poly([rng.choice((1, -1, 2, 3))]))
+            for factor in rng.sample(linear, rng.randint(0, 3)):
+                f = f * RatFunc(factor) ** rng.choice((-2, -1, 1, 2))
+            coords.append(f)
+        c = CurveData.build(coords)
+        kernel = kernel_basis(c.divisor_matrix)
+        expected = None if kernel.is_zero() else kernel.vectors[0]
+        before = len(calls)
+        assert check_assumption(c) == expected, [f"{f}" for f in coords]
+        assert len(calls) - before == (expected is not None)
+        failing += expected is not None
+    assert 80 <= failing <= 140
+
+
 def test_character_restrict_examples():
     c = example1(3)
     assert character_restrict(c, (1, 0)) == RatFunc((T - 1) ** 3)
@@ -373,9 +400,10 @@ def test_phi_enumerate_matches_pairs_oracle_on_many_place_curves():
 
 
 def test_phi_enumerate_runs_one_hnf_and_no_kernel_basis(monkeypatch):
-    """Once the curve is validated, one HNF of D answers all pairs of its
-    degree-1 places."""
-    c = _many_place_curves(1, seed=26, lines=True)[0].require_proper()
+    """One HNF of D answers all pairs of the curve's degree-1 places, and
+    validating the curve on the way (the standing hypothesis by rank) adds
+    no kernel_basis."""
+    c = CurveData.build(_many_place_curves(1, seed=26, lines=True)[0].coords)
     calls = []
     monkeypatch.setattr(curvegeom, "hnf", lambda M: calls.append("hnf") or hnf(M))
     monkeypatch.setattr(curvegeom, "kernel_basis", lambda M: calls.append("kernel_basis") or kernel_basis(M))

@@ -17,7 +17,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import decompose_oracle, relation_oracle
+from oracles import coprime_base_oracle, decompose_oracle, relation_oracle
 from torusdep import multdep
 from torusdep.cli import main
 from torusdep.errors import DomainError
@@ -260,6 +260,28 @@ def test_coprime_base_random():
             for _ in range(rng.randint(1, 6))
         ]
         _check_base(values, coprime_base(values))
+
+
+def test_coprime_base_matches_restarting_oracle():
+    """The one-sweep refinement gives the restarting refinement's list on
+    seeded sets of prime powers and their products, with repeated values,
+    1s and 4300-digit values among them."""
+    rng = random.Random(27)
+    small = list(sympy.primerange(2, 60)) + [4099, 65537]
+    huge = [10 ** 4299 + 7, (10 ** 1433 + 3) ** 3]
+    for trial in range(600):
+        values = [
+            math.prod(rng.choice(small) ** rng.randint(1, 9) for _ in range(rng.randint(0, 4)))
+            for _ in range(rng.randint(1, 7))
+        ]
+        values += [rng.choice(values) for _ in range(rng.randint(0, 3))] + [1] * rng.randint(0, 2)
+        if trial % 10 == 0:
+            big = rng.choice(huge)
+            values += [big * rng.choice(values), big ** rng.randint(1, 2)]
+        rng.shuffle(values)
+        base = coprime_base(values)
+        assert base == coprime_base_oracle(values), values
+        _check_base(values, base)
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,15 @@ from torusdep.errors import DomainError
 from torusdep.intlattice import (
     IntMatrix,
     LatticeBasis,
+    _sign_normalized,
     content,
+    eliminate,
     hnf,
     kernel_basis,
+    left_kernel,
     min_content,
     primitive_witness,
+    rank,
 )
 from torusdep.multdep import relation_lattice
 
@@ -116,6 +120,61 @@ def test_kernel_random_properties():
         # Saturation: scaled vectors still reduce into the lattice.
         for v in k.vectors:
             assert express_in_basis(tuple(3 * x for x in v), k) is not None
+
+
+def _seeded_matrices(seed, count):
+    """Seeded integer matrices of 1-6 rows and 1-5 columns, entries in
+    [-9, 9]; every third has its last row a combination of its first two
+    (rank-deficient) and every fourth a zero row. Then three edge cases:
+    no columns, one zero row, and a row that is zero after one reduction."""
+    rng = random.Random(seed)
+    for k in range(count):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 5)
+        m = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+        if k % 3 == 1 and rows >= 3:
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            m[-1] = [a * x + b * y for x, y in zip(m[0], m[1])]
+        if k % 4 == 2:
+            m[rng.randrange(rows)] = [0] * cols
+        yield IntMatrix(m)
+    yield from (IntMatrix([[], []]), IntMatrix([[0, 0]]), IntMatrix([[2, 4], [3, 6], [1, 2]]))
+
+
+def test_left_kernel_equals_hnf_transform_rows_opposite_zero_rows():
+    """left_kernel's elimination skips the reductions above the pivots;
+    the rows of U opposite H's zero rows come out as the full hnf's."""
+    deficient = zero_rows = 0
+    for M in _seeded_matrices(27, 400):
+        H, U = hnf(M)
+        expected = tuple(_sign_normalized(u) for h, u in zip(H.entries, U.entries) if not any(h))
+        assert left_kernel(M) == expected, M
+        deficient += M.rows > 1 and rank(M.entries) < min(M.rows, M.cols)
+        zero_rows += any(not any(row) for row in M.entries)
+    assert deficient >= 40 and zero_rows >= 100
+
+
+def test_eliminate_without_transform_gives_hnf():
+    """The elimination decompose runs, with no U, gives hnf's H and counts
+    its nonzero rows."""
+    for M in _seeded_matrices(28, 400):
+        h = [list(row) for row in M.entries]
+        k, u = eliminate(h)
+        H = hnf(M)[0]
+        assert IntMatrix(h) == H and u is None, M
+        assert k == sum(1 for row in H.entries if any(row))
+
+
+def test_public_constructors_reject_non_integer_entries():
+    """Entries go through operator.index: nothing is truncated."""
+    for entries in ([[2.5, 1], [1, 3]], [[1, 2], [1, "3"]], [[F(1, 2), 1]], [[1.0, 2]], [[None]]):
+        with pytest.raises(DomainError, match="integer entries"):
+            IntMatrix(entries)
+    for vectors in ([(1.9, 0)], [(1, F(4, 2))], [(1, "0")]):
+        with pytest.raises(DomainError, match="integer entries"):
+            LatticeBasis(2, vectors)
+    M = IntMatrix([[True, sympy.Integer(2)], [sympy.Integer(-3), 4]])
+    assert M.entries == ((1, 2), (-3, 4)) and all(type(x) is int for row in M.entries for x in row)
+    assert LatticeBasis(2, [(sympy.Integer(3), False)]).vectors == ((3, 0),)
 
 
 def test_lattice_basis_rejects_dependent_vectors():

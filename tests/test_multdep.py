@@ -8,7 +8,7 @@ import sympy
 from oracles import dependence_oracle, express_in_basis, reconstruct
 from torusdep import multdep
 from torusdep.errors import DomainError
-from torusdep.intlattice import rank
+from torusdep.intlattice import IntMatrix, hnf, rank
 from torusdep.multdep import (
     _RESIDUE_MODULUS as M,
     _coprime_rows,
@@ -41,16 +41,16 @@ def test_relation_lattice_examples():
     assert relation_lattice((F(-1), F(2))).vectors == ((2, 0),)
 
 
-def test_dependent_relation_lattice_runs_one_hnf_and_builds_one_basis(monkeypatch):
+def test_dependent_relation_lattice_runs_one_elimination_and_builds_one_basis(monkeypatch):
     from torusdep import intlattice, multdep
 
-    calls = {"hnf": 0, "basis": 0, "checked": 0}
-    hnf, post_init = intlattice.hnf, intlattice.LatticeBasis.__post_init__
+    calls = {"eliminate": [], "basis": 0, "checked": 0}
+    eliminate, post_init = intlattice.eliminate, intlattice.LatticeBasis.__post_init__
     independent = intlattice.LatticeBasis._independent
 
-    def counted_hnf(M):
-        calls["hnf"] += 1
-        return hnf(M)
+    def counted_eliminate(h, transform=False, reduce_above=True):
+        calls["eliminate"].append((transform, reduce_above))
+        return eliminate(h, transform, reduce_above)
 
     def counted_post_init(self):
         calls["basis"] += 1
@@ -61,13 +61,37 @@ def test_dependent_relation_lattice_runs_one_hnf_and_builds_one_basis(monkeypatc
         calls["basis"] += 1
         return independent(ambient, vectors)
 
-    monkeypatch.setattr(intlattice, "hnf", counted_hnf)
-    monkeypatch.setattr(multdep, "hnf", counted_hnf)
+    monkeypatch.setattr(intlattice, "eliminate", counted_eliminate)
+    monkeypatch.setattr(multdep, "eliminate", counted_eliminate)
     monkeypatch.setattr(intlattice.LatticeBasis, "__post_init__", counted_post_init)
     monkeypatch.setattr(intlattice.LatticeBasis, "_independent", counted_independent)
     assert relation_lattice((F(-2), F(8), F(3, 4))).vectors == ((6, -2, 0),)
-    # one basis, built without the rank check: independent by construction
-    assert calls == {"hnf": 1, "basis": 1, "checked": 0}
+    # one elimination with a transform and no reductions above the pivots,
+    # and one basis, built without the rank check: independent by construction
+    assert calls == {"eliminate": [(True, False)], "basis": 1, "checked": 0}
+
+
+def test_decompose_eliminates_to_the_hnf_without_a_transform(monkeypatch):
+    """decompose's one elimination runs without U and leaves hnf's H, on
+    the decompose test points and the seed-1 benchmark points."""
+    from test_factoring import DECOMPOSE_POINTS, _make_points
+
+    seen = []
+    eliminate = multdep.eliminate
+
+    def checked(h, transform=False, reduce_above=True):
+        A = IntMatrix(h)
+        k, u = eliminate(h, transform, reduce_above)
+        seen.append((transform, reduce_above, u))
+        assert IntMatrix(h) == hnf(A)[0]
+        assert k == sum(1 for row in h if any(row))
+        return k, u
+
+    monkeypatch.setattr(multdep, "eliminate", checked)
+    points = DECOMPOSE_POINTS + [point for point, _ in _make_points(1)]
+    for point in points:
+        decompose(point)
+    assert seen == [(False, True, None)] * len(points)
 
 
 def test_is_dependent_examples():

@@ -1,12 +1,15 @@
-"""The analyze report bytes on the benchmark curves match the committed
+"""The output bytes of both benchmark workloads match the committed
 benchmark references: the SHA-256 prefix of each `torusdep analyze`
-output equals the digest of its operation in bench/reference.json. Both
-bench files are read, never written."""
+output on the benchmark curves, and of each encoded result of the points
+workload's dependence-engine calls, equals the digest of its operation in
+bench/reference.json. The bench files are read, never written."""
 import ast
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
+import sys
 from pathlib import Path
 
 from torusdep.cli import main
@@ -34,3 +37,17 @@ def test_analyze_bytes_match_benchmark_references():
             assert main(["analyze", "--curve", curve]) == 0
         digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
         assert digest[: len(expected)] == expected, curve
+
+
+def test_points_bytes_match_benchmark_references():
+    """Each relation_lattice, is_primitively_dependent and decompose result
+    on the reference seed's points, encoded as the workload encodes it."""
+    reference = json.loads((BENCH / "reference.json").read_text())["workloads"]["points"]
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    ops = workloads.build("points", reference["seed"])
+    assert len(ops) == len(reference["ops"]) == 3000
+    for op, expected in zip(ops, reference["ops"]):
+        digest = hashlib.sha256(op.encode(op.call())).hexdigest()
+        assert digest[: len(expected)] == expected, op.label
