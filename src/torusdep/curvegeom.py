@@ -2,6 +2,11 @@
 the constant-monomial (standing hypothesis) check, and enumeration of the
 finite set of primitive characters whose restriction to the curve is a
 power map up to a Moebius change of coordinate.
+
+The rational places of a coordinate are the rational roots of its
+numerator and denominator, lifted p-adically from roots modulo a small
+prime (exactcore.rational_roots); only a place of degree >= 2 is found by
+factoring, and so by sympy.
 """
 from __future__ import annotations
 
@@ -17,7 +22,8 @@ from .errors import (
     ImproperParametrization,
     InvariantViolation,
 )
-from .exactcore import Poly, RatFunc, factor_poly, nth_power_in_Q, render
+from . import parser
+from .exactcore import Poly, RatFunc, factor_poly, nth_power_in_Q, rational_roots, render
 from .intlattice import IntMatrix, content, hnf, kernel_basis, rank
 
 Character = Tuple[int, ...]
@@ -69,16 +75,25 @@ Place.INFINITY = Place(None)
 
 def divisor_of(f: RatFunc) -> Dict[Place, int]:
     """The divisor of a nonzero rational function on the projective line:
-    its places, each with its nonzero multiplicity."""
+    its places, each with its nonzero multiplicity.
+
+    The degree-1 places of the numerator and denominator are their rational
+    roots, found by exactcore.rational_roots without factoring (its prime
+    search stops at parser.MAX_ROOT_PRIMES with DomainError). Only a
+    cofactor of degree >= 2 left after them, which has no rational root,
+    is factored by factor_poly, and so by sympy."""
     if f.is_zero():
         raise DomainError("the zero function has no divisor")
     support: Dict[Place, int] = {}
-    if not f.num.is_constant():
-        for q, mult in factor_poly(f.num)[1]:
-            support[Place.finite(q)] = mult
-    if not f.den.is_constant():
-        for q, mult in factor_poly(f.den)[1]:
-            support[Place.finite(q)] = -mult  # f is reduced: no place is in both
+    for poly, sign in ((f.num, 1), (f.den, -1)):  # f is reduced: no place is in both
+        if poly.is_constant():
+            continue
+        roots, rest = rational_roots(poly, parser.MAX_ROOT_PRIMES)
+        for r, mult in roots:
+            support[Place.finite(Poly([-r, 1]))] = sign * mult
+        if len(rest) > 2:
+            for q, mult in factor_poly(Poly(rest))[1]:
+                support[Place.finite(q)] = sign * mult
     inf_mult = f.den.degree - f.num.degree
     if inf_mult:
         support[Place.INFINITY] = inf_mult

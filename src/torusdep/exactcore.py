@@ -8,10 +8,11 @@ with the constant term; the zero polynomial has degree -1.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DomainError
 
@@ -414,6 +415,144 @@ def _as_ratfunc(x) -> RatFunc:
     if isinstance(x, Poly):
         return RatFunc(x)
     return RatFunc(Poly([_frac(x)]))
+
+
+def _primitive(cs: Sequence) -> List[int]:
+    """The primitive integer multiple of the rational (or integer)
+    coefficients cs, with the same signs."""
+    lcm = math.lcm(*(c.denominator for c in cs))
+    ints = [c.numerator * (lcm // c.denominator) for c in cs]
+    g = math.gcd(*ints)
+    return [c // g for c in ints]
+
+
+def _value(cs: Sequence[int], x: int) -> int:
+    """c(x), for c with the integer coefficients cs (constant term first)."""
+    acc = 0
+    for c in reversed(cs):
+        acc = acc * x + c
+    return acc
+
+
+def _horner_mod(cs: Sequence[int], x: int, m: int) -> int:
+    """c(x) mod m, for c with the integer coefficients cs (constant term first)."""
+    acc = 0
+    for c in reversed(cs):
+        acc = (acc * x + c) % m
+    return acc
+
+
+def _divide_exact(f: Sequence[int], c: Sequence[int]) -> Optional[List[int]]:
+    """The integer quotient f / c of integer coefficient lists (constant
+    term first), by long division from the top; None if c does not divide f
+    in Z[t]. A factor of f has no coefficient above 2**deg(f) * |f|_1
+    (Mignotte), so a quotient coefficient past that ends the division
+    before a wrong candidate c makes the numbers grow."""
+    r, k = list(f), len(c) - 1
+    q = [0] * max(len(f) - k, 0)
+    limit = sum(map(abs, f)) << len(f)
+    for i in range(len(q) - 1, -1, -1):
+        q[i], rem = divmod(r[i + k], c[-1])
+        if rem or abs(q[i]) > limit:
+            return None
+        for j in range(k):
+            r[i + j] -= q[i] * c[j]
+    return q if not any(r[:k]) else None
+
+
+# Evaluation points the heuristic gcd tries before it falls back to poly_gcd.
+_HEURISTIC_POINTS = 6
+
+
+def _squarefree_part(f: List[int]) -> List[int]:
+    """f / gcd(f, f') for a primitive integer f of degree >= 1. The gcd is
+    the heuristic one (Char, Geddes and Gonnet, JSC 7, 1989): a candidate
+    read from the balanced base-xi digits of gcd(f(xi), f'(xi)), for xi
+    past twice the smaller height, is kept only if it divides f and f'
+    exactly, and then it is the gcd. After _HEURISTIC_POINTS growing xi
+    fail, poly_gcd's Euclid over Fraction decides."""
+    df = _primitive([i * c for i, c in enumerate(f)][1:])
+    xi = 2 * min(max(map(abs, f)), max(map(abs, df))) + 29
+    for _ in range(_HEURISTIC_POINTS):
+        h, digits = math.gcd(_value(f, xi), _value(df, xi)), []
+        while h:
+            h, d = divmod(h, xi)
+            if 2 * d > xi:
+                h, d = h + 1, d - xi
+            digits.append(d)
+        c = _primitive(digits)
+        q = _divide_exact(f, c)
+        if q is not None and _divide_exact(df, c) is not None:
+            return q
+        xi = xi * 73794 // 27011
+    return _primitive((Poly(f) // poly_gcd(Poly(f), Poly(df))).coeffs)
+
+
+def rational_roots(p: Poly, max_primes: int) -> Tuple[List[Tuple[Fraction, int]], List[int]]:
+    """The rational roots of a nonconstant p, each with its multiplicity,
+    in decreasing order, and the primitive integer coefficients (constant
+    term first) of the cofactor left when every (b*t - a)**mult is divided
+    out: a constant, or a polynomial of degree >= 2 with no rational root.
+
+    Let f be the primitive integer p without its power of t, and g its
+    squarefree part f / gcd(f, f') (Yun, SYMSAC 1976). Prime by prime,
+    skipping those that divide lc(g), find the roots of g mod the prime by
+    evaluation and Newton-lift each simple one r past 2*|lc(g)*g(0)|. A
+    root a/b has b | lc(g) and a | g(0), so lc(g)*a/b is the symmetric
+    residue of lc(g)*r (R. Loos, SIAM J. Comput. 12, 1983). A candidate is
+    kept only if b*t - a divides g exactly, and g becomes the quotient.
+    Every rational root of g is found at the first prime at which each
+    root of g mod the prime is simple (as when g is squarefree mod the
+    prime); there the search ends. Before it, at primes where some roots
+    of g collide, at most deg(g) simple roots are lifted in all: many
+    rational roots collide mod small primes, and taking them out early
+    lets a small prime end the search, while the cap bounds the lifts of
+    roots that are not rational. The multiplicity of a root is the number
+    of exact integer divisions of f by b*t - a. DomainError when the first
+    max_primes primes do not end the search.
+    """
+    f = _primitive(p.coeffs)
+    zeros = next(i for i, c in enumerate(f) if c)
+    f = f[zeros:]
+    roots = [(Fraction(0), zeros)] if zeros else []
+    if len(f) == 1:
+        return roots, f
+    g = _squarefree_part(f) if len(f) > 2 else f
+    dg = [i * c for i, c in enumerate(g)][1:]
+    primes = (q for q in itertools.count(2) if all(q % k for k in range(2, math.isqrt(q) + 1)))
+    found, spare = [], len(g)
+    for tried, prime in enumerate(primes):
+        if tried == max_primes:
+            raise DomainError(f"rational roots: no good prime among the first {max_primes}")
+        if g[-1] % prime == 0:
+            continue
+        gp = [c % prime for c in g]
+        residues = [x for x in range(prime) if not _horner_mod(gp, x, prime)]
+        simple = [x for x in residues if _horner_mod(dg, x, prime)]
+        final = len(simple) == len(residues)
+        if not final:
+            simple = simple[:spare]
+            spare -= len(simple)
+        for r in simple:
+            m, lc = prime, g[-1]
+            while m <= 2 * abs(lc * g[0]):
+                m *= m
+                r = (r - _horner_mod(g, r, m) * pow(_horner_mod(dg, r, m), -1, m)) % m
+            v = lc * r % m
+            a, b = Fraction(v - m if 2 * v > m else v, lc).as_integer_ratio()
+            q = _divide_exact(g, (-a, b))
+            if q is not None:
+                g, dg = q, [i * c for i, c in enumerate(q)][1:]
+                found.append((a, b))
+        if final:
+            break
+    for a, b in found:
+        mult = 0
+        while (q := _divide_exact(f, (-a, b))) is not None:
+            f, mult = q, mult + 1
+        roots.append((Fraction(a, b), mult))
+    roots.sort(reverse=True)
+    return roots, f
 
 
 def factor_poly(p: Poly):

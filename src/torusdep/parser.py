@@ -31,6 +31,14 @@ MAX_COEFF_BITS = 2048
 # Budget on open parentheses and unary signs around any point of an
 # expression: each level is a few frames of recursion.
 MAX_NESTING = 100
+# Budget on the primes exactcore.rational_roots may try when divisor_of
+# builds a curve: it needs one that does not divide the leading coefficient
+# and at which every root mod the prime is simple. 256 distinct roots with
+# 2-digit numerators and denominators need 33. The slowest case found,
+# ((t+1)^2 + P)*(t^2-2)*(t^2-3)*...*(t^2-138) (127 non-squares, P the
+# product of the first 99 primes) takes 5.9 s to find the 100th prime, and
+# with the first 100 primes in P it exits 2 after 3.3 s.
+MAX_ROOT_PRIMES = 100
 _DIGITS = frozenset("0123456789")
 
 

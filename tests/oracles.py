@@ -13,8 +13,11 @@ first certifying the degree-1 places from their resultants, relation_oracle
 factors every coordinate with sympy.factorint instead of testing rank over
 a coprime base first, map_degree_oracle takes the properness gcd through sympy
 expressions (expand, subs, sympy.gcd) instead of one sympy.Poly gcd of
-coefficient dicts, and character_oracle normalizes a character from the
-factored restricted character (divisor_of) and reads c off its
+coefficient dicts, divisor_oracle factors a function's numerator and
+denominator with factor_poly instead of lifting their rational roots
+p-adically and factoring only the cofactor, and character_oracle
+normalizes a character from the factored restricted character
+(divisor_oracle) and reads c off its
 composition with a Moebius map instead of taking P, Q and m from the
 divisor matrix and c from leading coefficients, and phi_pairs_oracle
 finds the character set with one kernel per pair of degree-1 places
@@ -59,7 +62,6 @@ from torusdep.curvegeom import (
     Place,
     check_assumption,
     cyclotomic_realizable,
-    divisor_of,
     normalize_character,
     phi_enumerate,
 )
@@ -629,15 +631,33 @@ def _mobius_from_zero_inf(P: Place, Q: Place) -> RatFunc:
     return (p - q * T) / (1 - T)
 
 
+def divisor_oracle(f: RatFunc) -> Dict[Place, int]:
+    """The divisor of a nonzero rational function on the projective line:
+    its places, each with its nonzero multiplicity."""
+    if f.is_zero():
+        raise DomainError("the zero function has no divisor")
+    support: Dict[Place, int] = {}
+    if not f.num.is_constant():
+        for q, mult in factor_poly(f.num)[1]:
+            support[Place.finite(q)] = mult
+    if not f.den.is_constant():
+        for q, mult in factor_poly(f.den)[1]:
+            support[Place.finite(q)] = -mult  # f is reduced: no place is in both
+    inf_mult = f.den.degree - f.num.degree
+    if inf_mult:
+        support[Place.INFINITY] = inf_mult
+    return support
+
+
 def character_oracle(curve: CurveData, a: Sequence[int]) -> NormalizedCharacter:
     """normalize_character with the divisor taken by factoring the
-    restricted character itself (divisor_of) rather than as D*a, and with
+    restricted character itself (divisor_oracle) rather than as D*a, and with
     c read off the restricted character composed with the Moebius map
     sending P to 0 and Q to infinity, which must be the monomial c*s**m.
     Test use only."""
     a = tuple(int(x) for x in a)
     phi = character_restrict(curve, a)
-    items = sorted(divisor_of(phi).items(), key=lambda pm: pm[0].sort_key())
+    items = sorted(divisor_oracle(phi).items(), key=lambda pm: pm[0].sort_key())
     if len(items) != 2 or any(p.degree != 1 for p, _ in items):
         raise DomainError(
             "character divisor must be supported on two degree-1 places"

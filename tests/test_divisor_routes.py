@@ -3,7 +3,9 @@ map_degree against the sympy expression route (map_degree_oracle), with
 the bivariate gcd taken only when the coordinates' degrees share a factor,
 normalize_character (P, Q and m from D*a, c from leading coefficients)
 against the factored and composed restricted character (character_oracle),
-and divisor_of called only while building a curve."""
+divisor_of (rational roots by p-adic lifting, factor_poly only on a
+cofactor of degree >= 2) against factoring numerator and denominator
+(divisor_oracle), and divisor_of called only while building a curve."""
 import itertools
 import math
 import random
@@ -13,13 +15,13 @@ from fractions import Fraction as F
 import pytest
 import sympy
 
-from oracles import character_oracle, compose, map_degree_oracle
+from oracles import character_oracle, compose, divisor_oracle, map_degree_oracle
 from test_acceptance import _random_proper_curves as criterion_4_curves
 from test_golden_outputs import GOLDEN, SCAN_200
 from test_scan import MORE_CURVES
-from torusdep import curvegeom
+from torusdep import curvegeom, exactcore
 from torusdep.cli import main
-from torusdep.curvegeom import CurveData, map_degree, normalize_character, phi_enumerate
+from torusdep.curvegeom import CurveData, divisor_of, map_degree, normalize_character, phi_enumerate
 from torusdep.errors import DomainError
 from torusdep.exactcore import Poly, RatFunc
 from torusdep.explorer import AnalysisConfig, analyze, parse_curve, torsion_fiber
@@ -261,3 +263,107 @@ def test_divisor_of_runs_only_while_building_the_curve(monkeypatch):
     chars = phi_enumerate(curve)
     torsion_fiber(curve, chars[0].a, 6)
     assert calls == []
+
+
+IRREDUCIBLE = [  # no rational root: the cofactor path
+    Poly([1, 0, 1]),
+    Poly([-2, 0, 1]),
+    Poly([5, 3, 2]),
+    Poly([-2, 0, 0, 1]),
+    Poly([-1, -3, 0, 1]),
+    Poly([2, 14, 0, 7]),  # Eisenstein at 2
+]
+
+
+def _linear(rng, digits):
+    """b*t - a for a nonzero a and a positive b of up to digits digits each."""
+    return Poly([rng.choice([-1, 1]) * rng.randint(1, 10 ** digits), rng.randint(1, 10 ** digits)])
+
+
+def _typed_product(rng, factors, digits, top):
+    """A constant times up to `factors` powers (exponent up to top) of
+    linear factors, t and irreducible quadratics and cubics."""
+    p = Poly([F(rng.choice([-7, -2, 1, 3, 30030]), rng.choice([1, 2, 15015]))])
+    for _ in range(rng.randint(0, factors)):
+        kind = rng.random()
+        q = T.num if kind < 0.15 else rng.choice(IRREDUCIBLE) if kind < 0.35 else _linear(rng, digits)
+        p = p * q ** rng.randint(1, top)
+    return p
+
+
+def _divisor_cases():
+    rng = random.Random(2810)
+    cases = [RatFunc(_typed_product(rng, 4, 2, 4), _typed_product(rng, 3, 2, 3)) for _ in range(150)]
+    cases += [RatFunc(_typed_product(rng, 3, 30, 3), _typed_product(rng, 2, 30, 2)) for _ in range(20)]
+    t = T.num
+    cases += [
+        RatFunc((t - 3) ** 200 * (t + 1)),
+        RatFunc((t + 1) ** 128, (t + 2) ** 128),
+        RatFunc(Poly([-5, 2]) ** 150 * t ** 5 * IRREDUCIBLE[3] ** 2, Poly([7, 3]) ** 40),
+        RatFunc(Poly([10 ** 4299 + 7]) * (t - 3) * t, (t - 3) ** 200 * (t + 1)),
+        # leading coefficients 30030 = 2*3*...*13 and 15015, repeated roots
+        RatFunc(Poly([-1, 30030]) ** 3 * (t + 1) ** 2, Poly([7, 15015]) ** 2 * IRREDUCIBLE[1]),
+        RatFunc(Poly([-11, 15015]) ** 4 * Poly([13, 30030]) * IRREDUCIBLE[4] ** 2),
+        RatFunc(_linear(rng, 30) ** 17 * _linear(rng, 30) ** 3 * IRREDUCIBLE[2], _linear(rng, 30) ** 9),
+    ]
+    return cases
+
+
+def test_divisor_of_matches_factoring_oracle():
+    """The same places, multiplicities and order as factoring numerator and
+    denominator, on seeded typed products: multiplicities up to 200, roots
+    at 0 and with 30-digit numerators and denominators, a 4300-digit
+    constant, leading coefficients whose small primes the prime search must
+    skip, and irreducible quadratics and cubics beside linear factors."""
+    degrees, mults = set(), set()
+    for f in _divisor_cases():
+        got, want = divisor_of(f), divisor_oracle(f)
+        assert list(got.items()) == list(want.items()), f
+        finite = [(place, m) for place, m in got.items() if not place.is_infinity]
+        degrees |= {place.degree for place, _m in finite}
+        mults |= {abs(m) for _place, m in finite}
+    assert degrees == {1, 2, 3} and max(mults) == 200
+CHECK_OK = '{\n  "map_degree": 1,\n  "assumption": {\n    "ok": true,\n    "violation": null\n  }\n}\n'
+
+
+def test_factor_poly_runs_only_on_a_cofactor_of_degree_2_or_more(monkeypatch, capsys):
+    calls = []
+    original = exactcore.factor_poly
+    for module in (exactcore, curvegeom):
+        monkeypatch.setattr(module, "factor_poly", lambda p: calls.append(str(p)) or original(p))
+    for text in BENCH_CURVES:
+        parse_curve(text)
+    assert calls == []
+    for text, cofactor in (("t^2+1; t", "t^2 + 1"), ("(t^2-2)*(t-1); t", "t^2 - 2")):
+        assert main(["check", "--curve", text]) == 0
+        assert capsys.readouterr().out == CHECK_OK
+        assert calls == [cofactor]
+        del calls[:]
+
+
+def test_divisor_of_many_typed_linear_factors():
+    """Products of up to 60 distinct typed linear factors, whose roots
+    collide mod every small prime, beside an irreducible quadratic: the
+    divisor is known from the factors as typed."""
+    rng = random.Random(2811)
+    for count in (12, 30, 60):
+        roots = {}
+        while len(roots) < count:
+            roots[F(rng.randint(-99, 99), rng.randint(1, 99))] = rng.randint(1, 3)
+        num = IRREDUCIBLE[2]
+        for r, mult in roots.items():
+            num = num * Poly([-r.numerator, r.denominator]) ** mult
+        want = {curvegeom.Place.finite(Poly([-r, 1])): mult for r, mult in roots.items()}
+        want[curvegeom.Place.finite(IRREDUCIBLE[2].monic())] = 1
+        want[curvegeom.Place.INFINITY] = -num.degree
+        assert divisor_of(RatFunc(num)) == want
+
+
+def test_squarefree_part_falls_back_to_poly_gcd(monkeypatch):
+    """With no evaluation point for the heuristic gcd, poly_gcd's Euclid
+    gives the same squarefree parts."""
+    cases = _divisor_cases()
+    cases = cases[:40] + cases[-7:]
+    want = [divisor_of(f) for f in cases]
+    monkeypatch.setattr(exactcore, "_HEURISTIC_POINTS", 0)
+    assert [divisor_of(f) for f in cases] == want

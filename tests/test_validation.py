@@ -10,12 +10,14 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import torusdep.curvegeom as curvegeom
 import torusdep.explorer as explorer
+import torusdep.parser as parser
 from torusdep.cli import build_parser, main
 from torusdep.curvegeom import phi_enumerate
 from torusdep.errors import (
@@ -26,6 +28,7 @@ from torusdep.errors import (
     ParseError,
     PreconditionError,
 )
+from torusdep.exactcore import Poly
 from torusdep.explorer import AnalysisConfig, analyze, parse_curve, scan_dependent, torsion_fiber
 from torusdep.intlattice import IntMatrix, hnf
 from torusdep.parser import (
@@ -316,7 +319,8 @@ class TestExitCodes:
 
 def test_point_subcommands_do_not_import_sympy():
     """sympy is imported where it is called: the point subcommands on small
-    points never load it, and analyze then loads it on demand."""
+    points never load it, and analyze then loads it on demand, here to
+    factor the place t^2 + 1."""
     script = """
 import contextlib, io, sys
 import torusdep, torusdep.cli as cli
@@ -324,11 +328,55 @@ with contextlib.redirect_stdout(io.StringIO()):
     for argv in (["depends", "--point", "2,8"], ["primitive", "--point=-1,2"], ["decompose", "--point", "4,8"]):
         assert cli.main(argv) == 0, argv
     assert "sympy" not in sys.modules
-    assert cli.main(["analyze", "--curve", "(t-1)^2; t"]) == 0
+    assert cli.main(["analyze", "--curve", "t^2+1; t"]) == 0
 assert "sympy" in sys.modules
 """
     done = subprocess.run([sys.executable, "-c", script], env=_src_env(), capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+FRESH_RUNS = [["analyze", "--curve", text] for text in ("(t-1)^2; t", "(t-1)^3; t", "2*t/(t+1); t^(-2)")]
+FRESH_RUNS += [[command, "--curve", "t*(t+1); (t-2)/(t+3); t-5"] for command in ("analyze", "check", "phi")]
+
+
+def test_curves_with_rational_places_do_not_import_sympy(capsys):
+    """The benchmark curves have only rational places and coordinate
+    degrees with gcd 1: in a fresh interpreter, analyze on each of them and
+    check and phi give the in-process bytes without loading sympy."""
+    script = """
+import contextlib, io, json, sys
+import torusdep.cli as cli
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runs.append((cli.main(argv), out.getvalue()))
+print(json.dumps({"runs": runs, "sympy": "sympy" in sys.modules}))
+"""
+    done = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(FRESH_RUNS)], env=_src_env(), capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    fresh = json.loads(done.stdout)
+    assert fresh["sympy"] is False
+    for argv, (code, out) in zip(FRESH_RUNS, fresh["runs"]):
+        assert code == 0 and main(argv) == 0, argv
+        assert capsys.readouterr().out == out
+
+
+def test_root_prime_budget(monkeypatch, capsys):
+    """rational_roots tries at most parser.MAX_ROOT_PRIMES primes: for
+    30*t + 1 it skips 2, 3 and 5, which divide the leading coefficient, and
+    takes 7."""
+    f = parse_expression("30*t+1")
+    monkeypatch.setattr(parser, "MAX_ROOT_PRIMES", 4)
+    assert curvegeom.divisor_of(f) == {curvegeom.Place.finite(Poly([Fraction(1, 30), 1])): 1, curvegeom.Place.INFINITY: -1}
+    monkeypatch.setattr(parser, "MAX_ROOT_PRIMES", 3)
+    message = "rational roots: no good prime among the first 3"
+    with pytest.raises(DomainError, match=message):
+        curvegeom.divisor_of(f)
+    assert main(["check", "--curve", "30*t+1; t"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestParserBudgets:
